@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .gates import LogicCost
-from .netlist import Netlist, _garbage_scan, require_valid
+from .netlist import Netlist, garbage_wires
 
 # Garbage counts claimed for the shipped designs in the source
 # publication.  The BCD claim of 24 conflicts with line conservation
@@ -52,7 +52,7 @@ def analyze(netlist: Netlist) -> MetricsReport:
     unknown cost makes the total unknown (None).  Logical totals depend
     only on the gate multiset.
     """
-    require_valid(netlist)
+    garbage = garbage_wires(netlist)
     counts = Counter(inst.gate.name for inst in netlist.gates)
     quantum: int | None = 0
     logical = LogicCost()
@@ -66,7 +66,7 @@ def analyze(netlist: Netlist) -> MetricsReport:
         gate_count=len(netlist.gates),
         gates=dict(sorted(counts.items())),
         quantum_cost=quantum,
-        garbage=len(_garbage_scan(netlist)),
+        garbage=len(garbage),
         constants=len(netlist.constants),
         logical=logical,
     )

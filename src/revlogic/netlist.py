@@ -11,13 +11,16 @@ wire rules keep the circuit reversible end to end:
     acyclic by construction.
 
 Wires that are defined but never consumed and are not primary outputs
-are the garbage outputs.  Netlists are immutable after construction;
-validation and queries are pure.
+are the garbage outputs.  Netlists are immutable after construction,
+so each one is checked at most once and compiled at most once: the
+first query records its validation findings and garbage list, the first
+simulation builds its evaluation plan, and later calls read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gates import IDENT_RE, GateDefinition
 
@@ -55,6 +58,25 @@ class Netlist:
     def constant_wires(self) -> tuple[str, ...]:
         return tuple(wire for wire, _ in self.constants)
 
+    @cached_property
+    def _checked(self) -> tuple[tuple[Violation, ...], tuple[str, ...]]:
+        """Validation findings and garbage wires (none when invalid), built on first use."""
+        violations, garbage = _check(self)
+        return tuple(violations), tuple(garbage)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """Evaluation plan of a valid netlist, built on first simulation.
+
+        Raises InvalidNetlistError, on every use, for an invalid netlist.
+        """
+        require_valid(self)
+        return _Plan(self, self._checked[1])
+
+    def __getstate__(self) -> dict:
+        # the cached forms are derived data: pickles and copies rebuild them
+        return {k: v for k, v in self.__dict__.items() if k not in ("_checked", "_plan")}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -75,12 +97,8 @@ class InvalidNetlistError(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-def validate(netlist: Netlist) -> list[Violation]:
-    """Check every structural invariant; an empty list of errors means ok.
-
-    Unused constants are reported as warnings (wasteful but legal); all
-    other findings are errors.
-    """
+def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
+    """Every structural finding, plus the garbage wires when there is no error."""
     violations: list[Violation] = []
 
     def report(rule, message, wire=None, gate_index=None, severity="error"):
@@ -88,6 +106,7 @@ def validate(netlist: Netlist) -> list[Violation]:
 
     defined: set[str] = set()
     consumed: set[str] = set()
+    order: list[str] = []
 
     def define(wire, what, gate_index=None):
         if not IDENT_RE.match(wire):
@@ -95,6 +114,7 @@ def validate(netlist: Netlist) -> list[Violation]:
         if wire in defined:
             report("redefinition", f"wire {wire!r} defined more than once ({what})", wire, gate_index)
         defined.add(wire)
+        order.append(wire)
 
     for wire in netlist.primary_inputs:
         define(wire, "primary input")
@@ -140,45 +160,77 @@ def validate(netlist: Netlist) -> list[Violation]:
             report("fan-out", f"wire {wire!r} consumed more than once (primary output)", wire)
         consumed.add(wire)
 
-    if not any(v.severity == "error" for v in violations):
-        for wire, _ in netlist.constants:
-            if wire not in consumed:
-                report("unused-constant", f"constant {wire!r} is never consumed", wire, severity="warning")
-        # line conservation holds whenever the rules above do; checked, not assumed
-        sources = len(netlist.primary_inputs) + len(netlist.constants)
-        garbage = len(_garbage_scan(netlist))
-        if sources != len(netlist.primary_outputs) + garbage:
-            report(
-                "line-conservation",
-                f"{sources} source lines but {len(netlist.primary_outputs)} outputs + {garbage} garbage",
-            )
+    if any(v.severity == "error" for v in violations):
+        return violations, []
+    for wire, _ in netlist.constants:
+        if wire not in consumed:
+            report("unused-constant", f"constant {wire!r} is never consumed", wire, severity="warning")
+    garbage = [wire for wire in order if wire not in consumed]
+    # line conservation holds whenever the rules above do; checked, not assumed
+    sources = len(netlist.primary_inputs) + len(netlist.constants)
+    if sources != len(netlist.primary_outputs) + len(garbage):
+        report(
+            "line-conservation",
+            f"{sources} source lines but {len(netlist.primary_outputs)} outputs + {len(garbage)} garbage",
+        )
+    return violations, garbage
 
-    return violations
+
+class _Plan:
+    """Slot-indexed evaluation schedule of one valid netlist.
+
+    Wires take slots in definition order, so the primary inputs fill the
+    first slots.  Each step is (table, inverse table, input slots,
+    output slots).
+    """
+
+    def __init__(self, netlist: Netlist, garbage: tuple[str, ...]) -> None:
+        slots: dict[str, int] = {}
+        for wire in netlist.primary_inputs:
+            slots[wire] = len(slots)
+        self.const_slots: list[tuple[int, int]] = []
+        for wire, bit in netlist.constants:
+            slots[wire] = len(slots)
+            self.const_slots.append((slots[wire], bit))
+        self.steps: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+        for inst in netlist.gates:
+            in_slots = tuple(slots[w] for w in inst.inputs)
+            for wire in inst.outputs:
+                slots[wire] = len(slots)
+            out_slots = tuple(slots[w] for w in inst.outputs)
+            self.steps.append((inst.gate.table, inst.gate.inverse_table, in_slots, out_slots))
+        self.slots = slots
+        self.po_slots = tuple(slots[w] for w in netlist.primary_outputs)
+        self.garbage_wires = garbage
+        self.garbage_slots = tuple(slots[w] for w in garbage)
+        self.terminal_wires = netlist.primary_outputs + self.garbage_wires
+
+
+def validate(netlist: Netlist) -> list[Violation]:
+    """Check every structural invariant; an empty list of errors means ok.
+
+    Unused constants are reported as warnings (wasteful but legal); all
+    other findings are errors.  The check runs once per netlist object;
+    each call returns a fresh list.
+    """
+    return list(netlist._checked[0])
+
+
+def _errors(netlist: Netlist) -> list[Violation]:
+    return [v for v in netlist._checked[0] if v.severity == "error"]
 
 
 def is_valid(netlist: Netlist) -> bool:
-    return not any(v.severity == "error" for v in validate(netlist))
+    return not _errors(netlist)
 
 
 def require_valid(netlist: Netlist) -> None:
-    errors = [v for v in validate(netlist) if v.severity == "error"]
+    errors = _errors(netlist)
     if errors:
         raise InvalidNetlistError(errors)
-
-
-def _garbage_scan(netlist: Netlist) -> list[str]:
-    consumed: set[str] = set()
-    for inst in netlist.gates:
-        consumed.update(inst.inputs)
-    consumed.update(netlist.primary_outputs)
-    order = list(netlist.primary_inputs)
-    order.extend(wire for wire, _ in netlist.constants)
-    for inst in netlist.gates:
-        order.extend(inst.outputs)
-    return [wire for wire in order if wire not in consumed]
 
 
 def garbage_wires(netlist: Netlist) -> list[str]:
     """Defined-but-unconsumed wires that are not primary outputs, in definition order."""
     require_valid(netlist)
-    return _garbage_scan(netlist)
+    return list(netlist._checked[1])

@@ -3,7 +3,10 @@
 Input patterns index the primary inputs in declaration order with the
 first wire as the most significant bit; truth tables enumerate patterns
 in ascending binary order.  All functions are pure over immutable
-netlists, so exhaustive sweeps may be partitioned across workers.
+netlists, so exhaustive sweeps may be partitioned across workers.  The
+validation result and the evaluation plan are each built once and
+cached on the immutable netlist object; concurrent first uses may each
+build them, with equal results.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .netlist import Netlist, _garbage_scan, require_valid
+from .netlist import Netlist, _Plan
 
 DEFAULT_INPUT_LIMIT = 20
 DEFAULT_COUNTEREXAMPLE_LIMIT = 16
@@ -65,65 +68,43 @@ class Counterexample:
     actual: tuple[int, ...]
 
 
-class _Plan:
-    """Slot-indexed evaluation schedule for one already-validated netlist."""
+def _forward(plan: _Plan, input_bits: Sequence[int]) -> list[int]:
+    values = [0] * len(plan.slots)
+    values[: len(input_bits)] = input_bits
+    for slot, bit in plan.const_slots:
+        values[slot] = bit
+    for table, _inverse, in_slots, out_slots in plan.steps:
+        pattern = 0
+        for slot in in_slots:
+            pattern = (pattern << 1) | values[slot]
+        out = table[pattern]
+        shift = len(out_slots) - 1
+        for slot in out_slots:
+            values[slot] = (out >> shift) & 1
+            shift -= 1
+    return values
 
-    def __init__(self, netlist: Netlist) -> None:
-        slots: dict[str, int] = {}
-        for wire in netlist.primary_inputs:
-            slots[wire] = len(slots)
-        self.const_slots: list[tuple[int, int]] = []
-        for wire, bit in netlist.constants:
-            slots[wire] = len(slots)
-            self.const_slots.append((slots[wire], bit))
-        self.steps: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-        for inst in netlist.gates:
-            in_slots = tuple(slots[w] for w in inst.inputs)
-            for wire in inst.outputs:
-                slots[wire] = len(slots)
-            out_slots = tuple(slots[w] for w in inst.outputs)
-            self.steps.append((inst.gate.table, inst.gate.inverse_table, in_slots, out_slots))
-        self.slots = slots
-        self.netlist = netlist
-        self.po_slots = tuple(slots[w] for w in netlist.primary_outputs)
-        self.garbage_wires = _garbage_scan(netlist)
-        self.garbage_slots = tuple(slots[w] for w in self.garbage_wires)
 
-    def forward(self, input_bits: Sequence[int]) -> list[int]:
-        values = [0] * len(self.slots)
-        values[: len(input_bits)] = input_bits
-        for slot, bit in self.const_slots:
-            values[slot] = bit
-        for table, _inverse, in_slots, out_slots in self.steps:
-            pattern = 0
-            for slot in in_slots:
-                pattern = (pattern << 1) | values[slot]
-            out = table[pattern]
-            shift = len(out_slots) - 1
-            for slot in out_slots:
-                values[slot] = (out >> shift) & 1
-                shift -= 1
-        return values
-
-    def backward(self, terminal: Mapping[str, int]) -> list[int]:
-        values = [0] * len(self.slots)
-        for wire, bit in terminal.items():
-            values[self.slots[wire]] = bit
-        for _table, inverse, in_slots, out_slots in reversed(self.steps):
-            pattern = 0
-            for slot in out_slots:
-                pattern = (pattern << 1) | values[slot]
-            src = inverse[pattern]
-            shift = len(in_slots) - 1
-            for slot in in_slots:
-                values[slot] = (src >> shift) & 1
-                shift -= 1
-        return values
+def _backward(plan: _Plan, terminal: Mapping[str, int]) -> list[int]:
+    values = [0] * len(plan.slots)
+    for wire, bit in terminal.items():
+        values[plan.slots[wire]] = bit
+    for _table, inverse, in_slots, out_slots in reversed(plan.steps):
+        pattern = 0
+        for slot in out_slots:
+            pattern = (pattern << 1) | values[slot]
+        src = inverse[pattern]
+        shift = len(in_slots) - 1
+        for slot in in_slots:
+            values[slot] = (src >> shift) & 1
+            shift -= 1
+    return values
 
 
 def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, int]) -> None:
     missing = [w for w in wires if w not in assignment]
-    extra = [w for w in assignment if w not in set(wires)]
+    expected = set(wires)
+    extra = [w for w in assignment if w not in expected]
     if missing or extra:
         parts = []
         if missing:
@@ -143,10 +124,9 @@ def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
     receives exactly one value; the result reports primary outputs,
     garbage, and all lines.
     """
-    require_valid(netlist)
+    plan = netlist._plan
     _check_assignment("input", netlist.primary_inputs, inputs)
-    plan = _Plan(netlist)
-    values = plan.forward([inputs[w] for w in netlist.primary_inputs])
+    values = _forward(plan, [inputs[w] for w in netlist.primary_inputs])
     all_lines = {wire: values[slot] for wire, slot in plan.slots.items()}
     primary = {wire: all_lines[wire] for wire in netlist.primary_outputs}
     garbage = {wire: all_lines[wire] for wire in plan.garbage_wires}
@@ -160,10 +140,9 @@ def run_inverse(netlist: Netlist, terminal: Mapping[str, int]) -> dict[str, int]
     wires.  Returns the values on all source lines: the primary inputs
     and what each constant line must have been.
     """
-    require_valid(netlist)
-    plan = _Plan(netlist)
-    _check_assignment("terminal", list(netlist.primary_outputs) + plan.garbage_wires, terminal)
-    values = plan.backward(terminal)
+    plan = netlist._plan
+    _check_assignment("terminal", plan.terminal_wires, terminal)
+    values = _backward(plan, terminal)
     recovered = {wire: values[plan.slots[wire]] for wire in netlist.primary_inputs}
     for wire, _bit in netlist.constants:
         recovered[wire] = values[plan.slots[wire]]
@@ -182,13 +161,12 @@ def _check_width(netlist: Netlist, limit: int) -> int:
 
 def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> list[TruthTableRow]:
     """All 2^k rows (input, primary output, garbage) in ascending input order."""
-    require_valid(netlist)
+    plan = netlist._plan
     width = _check_width(netlist, limit)
-    plan = _Plan(netlist)
     rows = []
     for pattern in range(1 << width):
         bits = int_to_bits(pattern, width)
-        values = plan.forward(bits)
+        values = _forward(plan, bits)
         rows.append(
             TruthTableRow(
                 tuple(bits),
@@ -210,16 +188,18 @@ def check_equivalence(
 
     Returns up to ``max_counterexamples`` mismatches; an empty list
     means the circuit agrees with the oracle everywhere in the domain.
+    Raises ValueError when ``max_counterexamples`` is below 1.
     """
-    require_valid(netlist)
+    if max_counterexamples < 1:
+        raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
+    plan = netlist._plan
     width = _check_width(netlist, limit)
-    plan = _Plan(netlist)
     mismatches: list[Counterexample] = []
     for pattern in range(1 << width):
         bits = tuple(int_to_bits(pattern, width))
         if domain is not None and not domain(bits):
             continue
-        values = plan.forward(bits)
+        values = _forward(plan, bits)
         actual = tuple(values[s] for s in plan.po_slots)
         expected = tuple(oracle(bits))
         if actual != expected:

@@ -1,22 +1,32 @@
 """Netlist validation and garbage accounting tests."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revlogic.netlist
 from revlogic import (
     GateInstance,
     InvalidNetlistError,
     Netlist,
+    analyze,
+    build_bcd_adder,
     builtin,
+    check_equivalence,
     garbage_wires,
     is_valid,
+    require_valid,
+    run,
+    run_inverse,
+    serialize_netlist,
     truth_table,
     validate,
 )
-from helpers import random_netlist
+from helpers import bcd_digit_domain, bcd_digit_oracle, random_netlist
 
 FG = builtin("FG")
 PFAG = builtin("PFAG")
@@ -167,3 +177,92 @@ def test_whole_circuit_map_is_bijective_on_small_nets(seed):
     rows = truth_table(free)
     patterns = {(row.outputs, row.garbage) for row in rows}
     assert len(patterns) == len(rows)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Netlist objects passed to the validating function, one entry per call."""
+    calls = []
+    original = revlogic.netlist._check
+
+    def counting(netlist):
+        calls.append(netlist)
+        return original(netlist)
+
+    monkeypatch.setattr(revlogic.netlist, "_check", counting)
+    return calls
+
+
+def use_everywhere(n):
+    validate(n)
+    require_valid(n)
+    garbage_wires(n)
+    result = run(n, dict.fromkeys(n.primary_inputs, 1))
+    run_inverse(n, result.terminals)
+    truth_table(n)
+    check_equivalence(n, bcd_digit_oracle, bcd_digit_domain)
+    analyze(n)
+    serialize_netlist(n)
+
+
+def test_validated_once_per_netlist_object(check_calls):
+    n = build_bcd_adder("bcd2")
+    for _ in range(2):
+        use_everywhere(n)
+    assert len(check_calls) == 1 and check_calls[0] is n
+    # an equal netlist is a different object: it is checked on its own
+    fresh = dataclasses.replace(n)
+    assert fresh == n
+    use_everywhere(fresh)
+    assert len(check_calls) == 2 and check_calls[1] is fresh
+
+
+def test_returned_lists_are_fresh():
+    n = Netlist("warn", ("a",), (("k", 0), ("j", 0)), (GateInstance(FG, ("a", "j"), ("a1", "a2")),), ("a1",))
+    first = validate(n)
+    assert [v.rule for v in first] == ["unused-constant"]
+    first.clear()
+    assert [v.rule for v in validate(n)] == ["unused-constant"]
+    garbage = garbage_wires(n)
+    assert garbage == ["k", "a2"]
+    garbage.append("x")
+    garbage.remove("k")
+    assert garbage_wires(n) == ["k", "a2"]
+
+
+def test_invalid_netlist_raises_on_every_call(check_calls, monkeypatch):
+    plans = []
+    original = revlogic.netlist._Plan
+
+    def counting_plan(*args):
+        plans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(revlogic.netlist, "_Plan", counting_plan)
+    n = Netlist("bad", ("a", "a"), (), (), ())
+    for _ in range(2):
+        assert not is_valid(n)
+        assert "redefinition" in rules(validate(n))
+        for call in (require_valid, garbage_wires, analyze, serialize_netlist, truth_table):
+            with pytest.raises(InvalidNetlistError, match="defined more than once"):
+                call(n)
+        with pytest.raises(InvalidNetlistError):
+            run(n, {"a": 0})
+        with pytest.raises(InvalidNetlistError):
+            run_inverse(n, {})
+    assert len(check_calls) == 1
+    assert plans == []
+
+
+def test_compiled_form_is_not_observable():
+    n = build_bcd_adder("bcd2")
+    twin = build_bcd_adder("bcd2")
+    before = (hash(n), repr(n), pickle.dumps(n))
+    use_everywhere(n)
+    assert n == twin and twin == n
+    assert (hash(n), repr(n), pickle.dumps(n)) == before == (hash(twin), repr(twin), pickle.dumps(twin))
+    loaded = pickle.loads(pickle.dumps(n))
+    assert loaded == n and hash(loaded) == hash(n)
+    assert check_equivalence(loaded, bcd_digit_oracle, bcd_digit_domain) == []
+    renamed = dataclasses.replace(n, name="other")
+    assert renamed != n and renamed.name == "other" and validate(renamed) == []

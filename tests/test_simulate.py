@@ -1,6 +1,7 @@
 """Simulator tests: forward runs, inverse recovery, truth tables, oracle checks."""
 
 import random
+import time
 
 import pytest
 
@@ -10,15 +11,24 @@ from revlogic import (
     TruthTableLimitError,
     bits_to_int,
     build_bcd_adder,
+    build_bcd_chain,
     build_ripple_adder,
     builtin,
     check_equivalence,
     int_to_bits,
+    parse_netlist,
     run,
     run_inverse,
+    serialize_netlist,
     truth_table,
 )
-from helpers import bcd_digit_domain, bcd_digit_oracle, binary_adder_oracle, random_netlist
+from helpers import (
+    bcd_digit_domain,
+    bcd_digit_oracle,
+    binary_adder_oracle,
+    encode_bcd_operands,
+    random_netlist,
+)
 
 FG = builtin("FG")
 
@@ -180,6 +190,10 @@ def test_check_equivalence_counterexample_cap():
     n9 = build_ripple_adder()
     always_wrong = lambda bits: tuple(1 - b for b in binary_adder_oracle(bits))
     assert len(check_equivalence(n9, always_wrong)) == 16  # default cap
+    assert len(check_equivalence(n9, always_wrong, max_counterexamples=1)) == 1
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_counterexamples"):
+            check_equivalence(n9, always_wrong, max_counterexamples=cap)
 
 
 def test_int_bit_helpers():
@@ -187,3 +201,44 @@ def test_int_bit_helpers():
     assert bits_to_int([1, 0, 0, 1]) == 9
     with pytest.raises(ValueError):
         int_to_bits(16, 4)
+
+
+def chain_text(digits):
+    return serialize_netlist(build_bcd_chain(digits))
+
+
+def best_round_trip_seconds(text, repeats=3):
+    """Fastest ``run`` + ``run_inverse`` over freshly parsed copies, first use included."""
+    best = float("inf")
+    for _ in range(repeats):
+        n = parse_netlist(text)
+        inputs = dict(zip(n.primary_inputs, [0, 1] * len(n.primary_inputs)))
+        start = time.perf_counter()
+        result = run(n, inputs)
+        recovered = run_inverse(n, result.terminals)
+        best = min(best, time.perf_counter() - start)
+        assert {w: recovered[w] for w in n.primary_inputs} == inputs
+    return best
+
+
+def test_run_and_inverse_scale_linearly():
+    small = best_round_trip_seconds(chain_text(50))
+    large = best_round_trip_seconds(chain_text(400))
+    # 8x the gates: linear is about 8x, quadratic about 64x
+    assert large / small < 24, f"bcd-chain 400 took {large / small:.1f}x bcd-chain 50"
+
+
+def test_binding_errors_name_the_wire_on_a_large_chain():
+    n = build_bcd_chain(400)
+    inputs = dict(zip(n.primary_inputs, encode_bcd_operands(1, 2, 0, 400)))
+    terminals = run(n, inputs).terminals
+    dropped = n.primary_inputs[1234]
+    with pytest.raises(ValueError, match=f"missing input bindings: {dropped}$"):
+        run(n, {w: b for w, b in inputs.items() if w != dropped})
+    with pytest.raises(ValueError, match="unexpected bindings: stray$"):
+        run(n, dict(inputs, stray=0))
+    lost = next(reversed(terminals))
+    with pytest.raises(ValueError, match=f"missing terminal bindings: {lost}$"):
+        run_inverse(n, {w: b for w, b in terminals.items() if w != lost})
+    with pytest.raises(ValueError, match="unexpected bindings: stray$"):
+        run_inverse(n, dict(terminals, stray=1))
