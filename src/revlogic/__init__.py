@@ -21,8 +21,6 @@ from .gates import (
     builtin,
     check_bijective,
     define_custom_gate,
-    eval_gate,
-    inverse_eval_gate,
 )
 from .metrics import (
     CLAIMED_GARBAGE,
@@ -97,11 +95,9 @@ __all__ = [
     "check_equivalence",
     "compare",
     "define_custom_gate",
-    "eval_gate",
     "format_gate_multiset",
     "garbage_wires",
     "int_to_bits",
-    "inverse_eval_gate",
     "is_valid",
     "literature_table",
     "parse_netlist",

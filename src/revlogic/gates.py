@@ -84,15 +84,19 @@ class LogicCost:
         return "+".join(terms) if terms else "0"
 
 
-def _bits_to_pattern(bits: Sequence[int]) -> int:
-    pattern = 0
+def int_to_bits(value: int, width: int) -> list[int]:
+    """Big-endian bit list of the given width."""
+    if not 0 <= value < 1 << width:
+        raise ValueError(f"{value} does not fit in {width} bits")
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def bits_to_int(bits: Sequence[int]) -> int:
+    """Integer value of a big-endian bit sequence."""
+    value = 0
     for bit in bits:
-        pattern = (pattern << 1) | bit
-    return pattern
-
-
-def _pattern_to_bits(pattern: int, width: int) -> list[int]:
-    return [(pattern >> (width - 1 - i)) & 1 for i in range(width)]
+        value = (value << 1) | bit
+    return value
 
 
 def check_bijective(table: Sequence[Sequence[int]]) -> bool:
@@ -155,18 +159,18 @@ class GateDefinition:
 
     def apply(self, bits: Sequence[int]) -> list[int]:
         """Map an input bit vector to the gate's output bit vector."""
-        return _pattern_to_bits(self.table[self._pattern(bits)], self.arity)
+        return int_to_bits(self.table[self._pattern(bits)], self.arity)
 
     def invert(self, bits: Sequence[int]) -> list[int]:
         """Map an output bit vector back to the unique input that produces it."""
-        return _pattern_to_bits(self.inverse_table[self._pattern(bits)], self.arity)
+        return int_to_bits(self.inverse_table[self._pattern(bits)], self.arity)
 
     def _pattern(self, bits: Sequence[int]) -> int:
         if len(bits) != self.arity:
             raise GateArityError(f"{self.name} has {self.arity} lines, got {len(bits)} bits")
         if any(bit not in (0, 1) for bit in bits):
             raise ValueError(f"bits must be 0 or 1, got {list(bits)!r}")
-        return _bits_to_pattern(bits)
+        return bits_to_int(bits)
 
     @classmethod
     def from_function(
@@ -179,7 +183,7 @@ class GateDefinition:
     ) -> GateDefinition:
         """Tabulate an algebraic definition over all 2^arity inputs."""
         table = tuple(
-            _bits_to_pattern(fn(*_pattern_to_bits(p, arity))) for p in range(1 << arity)
+            bits_to_int(fn(*int_to_bits(p, arity))) for p in range(1 << arity)
         )
         return cls(name, arity, table, quantum_cost, logic_cost)
 
@@ -196,17 +200,7 @@ class GateDefinition:
         if not check_bijective(rows):
             raise NonBijectiveError(f"{name}: duplicate output patterns")
         arity = len(rows[0])
-        return cls(name, arity, tuple(_bits_to_pattern(row) for row in rows), quantum_cost, logic_cost)
-
-
-def eval_gate(gate: GateDefinition, bits: Sequence[int]) -> list[int]:
-    """Forward-evaluate a gate on a bit vector of its arity."""
-    return gate.apply(bits)
-
-
-def inverse_eval_gate(gate: GateDefinition, bits: Sequence[int]) -> list[int]:
-    """Recover the unique input bit vector producing the given output."""
-    return gate.invert(bits)
+        return cls(name, arity, tuple(bits_to_int(row) for row in rows), quantum_cost, logic_cost)
 
 
 def _fg(a, b):

@@ -132,8 +132,6 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
                 f"{len(inst.inputs)} inputs / {len(inst.outputs)} outputs",
                 gate_index=index,
             )
-        if len(set(gate.table)) != len(gate.table):
-            report("non-bijective-gate", f"gate {index} ({gate.name}) is not a bijection", gate_index=index)
         for wire in inst.inputs:
             if wire not in defined:
                 report(

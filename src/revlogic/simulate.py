@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from .gates import bits_to_int, int_to_bits  # bits_to_int is re-exported
 from .netlist import Netlist, _Plan
 
 DEFAULT_INPUT_LIMIT = 20
@@ -22,21 +23,6 @@ DEFAULT_COUNTEREXAMPLE_LIMIT = 16
 
 class TruthTableLimitError(ValueError):
     """Exhaustive enumeration refused because the input count exceeds the limit."""
-
-
-def int_to_bits(value: int, width: int) -> list[int]:
-    """Big-endian bit list of the given width."""
-    if not 0 <= value < 1 << width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Integer value of a big-endian bit sequence."""
-    value = 0
-    for bit in bits:
-        value = (value << 1) | bit
-    return value
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ separated, sections appear in this order):
     outputs WIRE...
     end
 
-Wires must be defined before use and consumed at most once, so a
-document that parses is structurally valid by construction; the checks
-are purely syntactic because the format is define-before-use.  Parsing
-either returns a complete netlist or raises NetlistParseError carrying
+The parser checks this grammar and the gate names.  The wire rules are
+``netlist.validate``'s, run once on the parsed netlist, and its errors
+are reported at their source positions.  Parsing either returns a
+complete, validated netlist or raises NetlistParseError carrying
 positioned diagnostics; no partial netlist escapes a failed parse.
 Serialization is canonical and deterministic, and parse(serialize(n))
 reproduces n exactly.
@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gates import DEFAULT_REGISTRY, IDENT_RE, GateLookupError, GateRegistry
-from .netlist import GateInstance, Netlist, require_valid
+from .netlist import GateInstance, Netlist, Violation, require_valid, validate
+
+_BITS = {"0": 0, "1": 1}
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class ParseDiagnostic:
     message: str
 
     def __str__(self) -> str:
-        return f"line {self.line}, token {self.token}: {self.message}"
+        return f"line {self.line}, token {self.token}: [{self.rule}] {self.message}"
 
 
 class NetlistParseError(ValueError):
@@ -57,34 +59,27 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
     """Parse a netlist document, resolving gate names against a registry.
 
     Raises NetlistParseError with positioned diagnostics for grammar
-    problems and for every wire-rule violation (unknown gate, arity
-    mismatch, redefinition, use before definition, fan-out).
+    problems, unknown gates and every error ``validate`` finds (arity
+    mismatch, bad wire name, bad constant, redefinition, use before
+    definition, fan-out, duplicate or undefined output).  Warnings do
+    not fail a parse.  The returned netlist's validation is cached.
     """
     reg = DEFAULT_REGISTRY if registry is None else registry
     diagnostics: list[ParseDiagnostic] = []
 
-    def diag(lineno: int, token: int, rule: str, message: str) -> None:
-        diagnostics.append(ParseDiagnostic(lineno, token, rule, message))
-
     def fail(lineno: int, token: int, rule: str, message: str) -> NetlistParseError:
-        diag(lineno, token, rule, message)
+        diagnostics.append(ParseDiagnostic(lineno, token, rule, message))
         return NetlistParseError(diagnostics)
 
     name = None
     inputs: list[str] = []
-    constants: list[tuple[str, int]] = []
+    constants: list[tuple[str, int | str]] = []
     gates: list[GateInstance] = []
     outputs: list[str] = []
-
-    defined: set[str] = set()
-    consumed: set[str] = set()
-
-    def define_wire(lineno: int, token: int, wire: str, what: str) -> None:
-        if not IDENT_RE.match(wire):
-            diag(lineno, token, "bad-wire-name", f"wire {wire!r} is not a valid identifier")
-        if wire in defined:
-            diag(lineno, token, "redefinition", f"wire {wire!r} already defined ({what})")
-        defined.add(wire)
+    # line numbers, to position validate's findings; the token lists are not kept, to save memory
+    inputs_at = outputs_at = 0
+    const_at: list[int] = []
+    gate_at: list[int] = []  # indexed like the netlist's gates
 
     state = "circuit"
     for lineno, tokens in _tokenize(text):
@@ -99,9 +94,7 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
         elif state == "inputs":
             if key != "inputs":
                 raise fail(lineno, 0, "syntax", f"expected 'inputs', got {key!r}")
-            for token, wire in enumerate(tokens[1:], start=1):
-                define_wire(lineno, token, wire, "primary input")
-                inputs.append(wire)
+            inputs, inputs_at = tokens[1:], lineno
             state = "body"
         elif state == "body":
             if key == "const":
@@ -109,57 +102,24 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
                     raise fail(lineno, 0, "syntax", "const lines must precede gate lines")
                 if len(tokens) != 3:
                     raise fail(lineno, 0, "syntax", "expected 'const WIRE BIT'")
-                define_wire(lineno, 1, tokens[1], "constant")
-                if tokens[2] not in ("0", "1"):
-                    diag(lineno, 2, "bad-constant", f"constant bit must be 0 or 1, got {tokens[2]!r}")
-                    constants.append((tokens[1], 0))
-                else:
-                    constants.append((tokens[1], int(tokens[2])))
+                # a bit other than 0/1 stays a string, for validate to report as bad-constant
+                constants.append((tokens[1], _BITS.get(tokens[2], tokens[2])))
+                const_at.append(lineno)
             elif key == "gate":
                 if len(tokens) < 2:
                     raise fail(lineno, 0, "syntax", "expected 'gate NAME IN... -> OUT...'")
                 try:
                     gate = reg.get(tokens[1])
                 except GateLookupError:
-                    diag(lineno, 1, "unknown-gate", f"unknown gate {tokens[1]!r}")
+                    diagnostics.append(ParseDiagnostic(lineno, 1, "unknown-gate", f"unknown gate {tokens[1]!r}"))
                     continue
                 if "->" not in tokens:
                     raise fail(lineno, 2, "syntax", "gate line is missing '->'")
                 arrow = tokens.index("->")
-                ins = tokens[2:arrow]
-                outs = tokens[arrow + 1 :]
-                if len(ins) != gate.arity or len(outs) != gate.arity:
-                    diag(
-                        lineno,
-                        1,
-                        "arity-mismatch",
-                        f"gate {gate.name} has {gate.arity} lines but "
-                        f"{len(ins)} inputs / {len(outs)} outputs",
-                    )
-                for token, wire in enumerate(ins, start=2):
-                    if not IDENT_RE.match(wire):
-                        diag(lineno, token, "bad-wire-name", f"wire {wire!r} is not a valid identifier")
-                    if wire not in defined:
-                        diag(lineno, token, "use-before-definition", f"wire {wire!r} used before definition")
-                    elif wire in consumed:
-                        diag(lineno, token, "fan-out", f"fan-out at {wire!r}: already consumed")
-                    consumed.add(wire)
-                for token, wire in enumerate(outs, start=arrow + 1):
-                    define_wire(lineno, token, wire, "gate output")
-                gates.append(GateInstance(gate, tuple(ins), tuple(outs)))
+                gates.append(GateInstance(gate, tokens[2:arrow], tokens[arrow + 1 :]))
+                gate_at.append(lineno)
             elif key == "outputs":
-                seen: set[str] = set()
-                for token, wire in enumerate(tokens[1:], start=1):
-                    if wire in seen:
-                        diag(lineno, token, "duplicate-output", f"wire {wire!r} listed twice as primary output")
-                        continue
-                    seen.add(wire)
-                    if wire not in defined:
-                        diag(lineno, token, "undefined-output", f"primary output {wire!r} is never defined")
-                    elif wire in consumed:
-                        diag(lineno, token, "fan-out", f"fan-out at {wire!r}: already consumed")
-                    consumed.add(wire)
-                    outputs.append(wire)
+                outputs, outputs_at = tokens[1:], lineno
                 state = "end"
             else:
                 raise fail(lineno, 0, "syntax", f"expected 'const', 'gate' or 'outputs', got {key!r}")
@@ -173,9 +133,50 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
     if state != "done":
         expected = {"circuit": "'circuit NAME'", "inputs": "'inputs'", "body": "'outputs'", "end": "'end'"}
         raise fail(0, 0, "syntax", f"unexpected end of document, expected {expected[state]}")
-    if diagnostics:
-        raise NetlistParseError(diagnostics)
-    return Netlist(name, tuple(inputs), tuple(constants), tuple(gates), tuple(outputs))
+    netlist = Netlist(name, inputs, constants, gates, outputs)
+    errors = [v for v in validate(netlist) if v.severity == "error"]
+    if not errors and not diagnostics:
+        return netlist
+    lines = dict(_tokenize(text))
+    groups: dict[tuple, list[Violation]] = {}
+    for v in errors:
+        groups.setdefault((v.rule, v.gate_index, v.wire), []).append(v)
+    for group in groups.values():
+        # the k findings for one (rule, place, wire) sit on its last k occurrences there
+        places = _occurrences(group[0], lines, inputs_at, const_at, gate_at, outputs_at)
+        for v, (lineno, token) in zip(group, places[len(places) - len(group) :]):
+            diagnostics.append(ParseDiagnostic(lineno, token, v.rule, v.message))
+    diagnostics.sort(key=lambda d: (d.line, d.token))
+    raise NetlistParseError(diagnostics)
+
+
+def _occurrences(v: Violation, lines, inputs_at, const_at, gate_at, outputs_at) -> list[tuple[int, int]]:
+    """(line, token) of each occurrence of a finding's wire in its place, in order.
+
+    A rule breaks on a suffix of those: the first occurrence is legal and
+    later ones fan out or redefine, or else every one is bad.  validate
+    reports undefined-output and outputs-line fan-out once per wire, so
+    only the first listing counts for them.
+    """
+    if v.gate_index is not None:
+        lineno = gate_at[v.gate_index]
+        if v.wire is None:
+            return [(lineno, 1)]
+        tokens = lines[lineno]
+        arrow = tokens.index("->")
+        side = range(2, arrow) if v.rule in ("use-before-definition", "fan-out") else range(arrow + 1, len(tokens))
+        return [(lineno, t) for t in side if tokens[t] == v.wire]
+    if v.rule in ("redefinition", "bad-wire-name"):
+        tokens = lines[inputs_at]
+        places = [(inputs_at, t) for t in range(1, len(tokens)) if tokens[t] == v.wire]
+        return places + [(lineno, 1) for lineno in const_at if lines[lineno][1] == v.wire]
+    if v.rule == "bad-constant":
+        return [(lineno, 2) for lineno in const_at if lines[lineno][1] == v.wire and lines[lineno][2] not in _BITS]
+    if v.rule in ("duplicate-output", "undefined-output", "fan-out"):
+        tokens = lines[outputs_at]
+        places = [(outputs_at, t) for t in range(1, len(tokens)) if tokens[t] == v.wire]
+        return places if v.rule == "duplicate-output" else places[:1]
+    return [(0, 0)]
 
 
 def serialize_netlist(netlist: Netlist) -> str:

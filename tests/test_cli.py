@@ -53,6 +53,11 @@ def test_parse_error_exits_2(netfile, capsys):
     assert "parse error" in err and "line 3" in err
 
 
+def test_parse_error_names_rule(netfile, capsys):
+    assert main(["validate", netfile(FAN_OUT)]) == 2
+    assert "parse error: line 3, token 3: [fan-out]" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "nope.net")]) == 2
 

@@ -17,8 +17,6 @@ from revlogic import (
     builtin,
     check_bijective,
     define_custom_gate,
-    eval_gate,
-    inverse_eval_gate,
 )
 from revlogic.gates import BUILTIN_FUNCTIONS
 
@@ -55,7 +53,7 @@ def test_tables_match_algebraic_definitions():
     for name, gate in BUILTIN_GATES.items():
         fn = BUILTIN_FUNCTIONS[name]
         for bits in itertools.product((0, 1), repeat=gate.arity):
-            assert eval_gate(gate, list(bits)) == list(fn(*bits)), name
+            assert gate.apply(list(bits)) == list(fn(*bits)), name
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -63,29 +61,29 @@ def test_builtin_bijective_and_invertible(name):
     gate = builtin(name)
     seen = set()
     for bits in itertools.product((0, 1), repeat=gate.arity):
-        out = eval_gate(gate, list(bits))
+        out = gate.apply(list(bits))
         seen.add(tuple(out))
-        assert inverse_eval_gate(gate, out) == list(bits)
+        assert gate.invert(out) == list(bits)
     assert len(seen) == 2**gate.arity
 
 
 def test_eval_examples():
-    assert eval_gate(builtin("FG"), [0, 0]) == [0, 0]
-    assert eval_gate(builtin("PFAG"), [1, 1, 1, 0]) == [1, 0, 1, 1]
-    assert eval_gate(builtin("PG"), [1, 1, 0]) == [1, 0, 1]
+    assert builtin("FG").apply([0, 0]) == [0, 0]
+    assert builtin("PFAG").apply([1, 1, 1, 0]) == [1, 0, 1, 1]
+    assert builtin("PG").apply([1, 1, 0]) == [1, 0, 1]
 
 
 def test_inverse_examples():
-    assert inverse_eval_gate(builtin("FG"), [1, 0]) == [1, 1]
-    assert inverse_eval_gate(builtin("PFAG"), [1, 0, 1, 1]) == [1, 1, 1, 0]
-    assert inverse_eval_gate(builtin("TG"), [0, 0, 0]) == [0, 0, 0]
+    assert builtin("FG").invert([1, 0]) == [1, 1]
+    assert builtin("PFAG").invert([1, 0, 1, 1]) == [1, 1, 1, 0]
+    assert builtin("TG").invert([0, 0, 0]) == [0, 0, 0]
 
 
 def test_eval_arity_checked():
     with pytest.raises(GateArityError):
-        eval_gate(builtin("FG"), [0, 0, 0])
+        builtin("FG").apply([0, 0, 0])
     with pytest.raises(GateArityError):
-        inverse_eval_gate(builtin("PFAG"), [1, 0])
+        builtin("PFAG").invert([1, 0])
 
 
 @pytest.mark.parametrize("name", ["PFAG", "HNG"])
@@ -93,7 +91,7 @@ def test_full_adder_contract(name):
     # with the fourth line zeroed, output 3 is the sum and output 4 the carry
     gate = builtin(name)
     for a, b, c in itertools.product((0, 1), repeat=3):
-        out = eval_gate(gate, [a, b, c, 0])
+        out = gate.apply([a, b, c, 0])
         total = a + b + c
         assert out[2] == total % 2
         assert out[3] == total // 2
@@ -102,13 +100,13 @@ def test_full_adder_contract(name):
 def test_hnfg_copies_two_lines():
     gate = builtin("HNFG")
     for a, c in itertools.product((0, 1), repeat=2):
-        assert eval_gate(gate, [a, 0, c, 0]) == [a, a, c, c]
+        assert gate.apply([a, 0, c, 0]) == [a, a, c, c]
 
 
 def test_pfag_triple_copy():
     gate = builtin("PFAG")
     for a in (0, 1):
-        assert eval_gate(gate, [a, 0, 0, 0]) == [a, a, a, 0]
+        assert gate.apply([a, 0, 0, 0]) == [a, a, a, 0]
 
 
 def test_check_bijective():
@@ -116,7 +114,7 @@ def test_check_bijective():
     assert check_bijective(identity) is True
     collapsing = [[0, 0], [0, 0], [1, 0], [1, 1]]
     assert check_bijective(collapsing) is False
-    pfag_rows = [eval_gate(builtin("PFAG"), list(bits)) for bits in itertools.product((0, 1), repeat=4)]
+    pfag_rows = [builtin("PFAG").apply(list(bits)) for bits in itertools.product((0, 1), repeat=4)]
     assert check_bijective(pfag_rows) is True
 
 
@@ -135,8 +133,8 @@ def test_define_custom_gate_swap():
     registry = GateRegistry()
     swap = define_custom_gate("SWAP", [[0, 0], [1, 0], [0, 1], [1, 1]], quantum_cost=3, registry=registry)
     assert registry.get("SWAP") is swap
-    assert eval_gate(swap, [0, 1]) == [1, 0]
-    assert inverse_eval_gate(swap, [1, 0]) == [0, 1]
+    assert swap.apply([0, 1]) == [1, 0]
+    assert swap.invert([1, 0]) == [0, 1]
 
 
 def test_define_custom_gate_rejects_non_bijective():

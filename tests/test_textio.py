@@ -1,19 +1,26 @@
 """Text format tests: parsing, diagnostics, canonical serialization, round trips."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revlogic.netlist
 from revlogic import (
+    GateInstance,
     GateRegistry,
+    Netlist,
     NetlistParseError,
     build_bcd_adder,
     build_bcd_chain,
     build_ripple_adder,
     define_custom_gate,
+    garbage_wires,
+    is_valid,
     parse_netlist,
+    require_valid,
     run,
     serialize_netlist,
     validate,
@@ -173,3 +180,131 @@ def test_empty_sections_round_trip():
 def test_round_trip_random_netlists(seed):
     n = random_netlist(random.Random(seed))
     assert parse_netlist(serialize_netlist(n)) == n
+
+
+# one document per rule a text can break: the expected (rule, line, token) of every diagnostic, in order
+POSITIONED = [
+    ("circuit c\ninputs a b\ngate FG a a -> p q\noutputs p q\nend\n", [("fan-out", 3, 3)]),
+    ("circuit c\ninputs a\ngate TG a a a -> p q r\noutputs p q r\nend\n", [("fan-out", 3, 3), ("fan-out", 3, 4)]),
+    ("circuit c\ninputs a b\ngate FG a b -> p q\noutputs a p q\nend\n", [("fan-out", 4, 1)]),
+    ("circuit c\ninputs a b\ngate FG a b -> p q\noutputs a a\nend\n", [("fan-out", 4, 1), ("duplicate-output", 4, 2)]),
+    ("circuit c\ninputs a\ngate FG a ghost -> p q\noutputs p q\nend\n", [("use-before-definition", 3, 3)]),
+    (
+        "circuit c\ninputs\ngate FG g g -> p q\noutputs p q\nend\n",
+        [("use-before-definition", 3, 2), ("use-before-definition", 3, 3)],
+    ),
+    ("circuit c\ninputs a a\noutputs a\nend\n", [("redefinition", 2, 2)]),
+    ("circuit c\ninputs a\nconst a 0\noutputs a\nend\n", [("redefinition", 3, 1)]),
+    ("circuit c\ninputs a b\ngate FG a b -> p p\noutputs p\nend\n", [("redefinition", 3, 6)]),
+    ("circuit c\ninputs a b\ngate FG a b -> a q\noutputs q\nend\n", [("redefinition", 3, 5)]),
+    ("circuit c\ninputs 1a\noutputs 1a\nend\n", [("bad-wire-name", 2, 1)]),
+    ("circuit c\ninputs a b\ngate FG a b -> p 9q\noutputs p 9q\nend\n", [("bad-wire-name", 3, 6)]),
+    ("circuit c\ninputs\nconst k 7\noutputs k\nend\n", [("bad-constant", 3, 2)]),
+    ("circuit c\ninputs\nconst k 0\nconst k x\noutputs k\nend\n", [("redefinition", 4, 1), ("bad-constant", 4, 2)]),
+    ("circuit c\ninputs\nconst k 7\nconst k 0\noutputs k\nend\n", [("bad-constant", 3, 2), ("redefinition", 4, 1)]),
+    ("circuit c\ninputs a b c\ngate FG a b c -> p q r\noutputs p q r\nend\n", [("arity-mismatch", 3, 1)]),
+    ("circuit c\ninputs a b\ngate FG a b -> p q\noutputs p p\nend\n", [("duplicate-output", 4, 2)]),
+    ("circuit c\ninputs a\noutputs a ghost\nend\n", [("undefined-output", 3, 2)]),
+    ("circuit c\ninputs\noutputs g g\nend\n", [("undefined-output", 3, 1), ("duplicate-output", 3, 2)]),
+    (
+        "circuit c\ninputs a b\ngate NOPE a b -> p q\ngate FG p q -> r s\noutputs r s\nend\n",
+        [("unknown-gate", 3, 1), ("use-before-definition", 4, 2), ("use-before-definition", 4, 3)],
+    ),
+    (
+        "circuit c\ninputs a a\ngate FG a ghost -> p q\noutputs p q miss\nend\n",
+        [("redefinition", 2, 2), ("use-before-definition", 3, 3), ("undefined-output", 4, 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", POSITIONED)
+def test_wire_rule_diagnostics_positioned(text, expected):
+    diags = diagnostics_of(text)
+    assert [(d.rule, d.line, d.token) for d in diags] == expected
+    assert diags == sorted(diags, key=lambda d: (d.line, d.token))
+    for d in diags:
+        assert f"line {d.line}, token {d.token}: [{d.rule}]" in str(d)
+
+
+def test_parsed_netlist_is_not_checked_again(monkeypatch):
+    text = serialize_netlist(build_bcd_adder("bcd2"))
+    calls = []
+    original = revlogic.netlist._check
+
+    def counting(netlist):
+        calls.append(netlist)
+        return original(netlist)
+
+    monkeypatch.setattr(revlogic.netlist, "_check", counting)
+    n = parse_netlist(text)
+    assert len(calls) == 1 and calls[0] is n
+    assert validate(n) == []
+    require_valid(n)
+    assert is_valid(n)
+    garbage_wires(n)
+    assert len(calls) == 1
+
+
+KEYWORDS = ["circuit", "inputs", "const", "gate", "outputs", "end", "->", "0", "1", "7"]
+GATE_NAMES = ["FG", "PG", "TG", "FRG", "PFAG", "HNG", "HNFG", "NOPE"]
+WIRES = ["a", "b", "c", "p", "q", "k", "_w1", "1a", "-", "a-b", "#x"]
+soup_line = st.lists(st.sampled_from(KEYWORDS + GATE_NAMES + WIRES), min_size=0, max_size=7).map(" ".join)
+
+
+@st.composite
+def soup_documents(draw):
+    """Token soup, mostly behind a well-formed header so the body and the wire rules are reached."""
+    body = draw(st.lists(soup_line, max_size=8))
+    if draw(st.booleans()):
+        body = ["circuit c", "inputs " + draw(soup_line), *body, "outputs " + draw(soup_line), "end"]
+    return "\n".join(body) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), soup_documents()))
+def test_parser_is_total(text):
+    try:
+        parse_netlist(text)
+    except NetlistParseError as exc:
+        assert exc.diagnostics
+
+
+def render(n):
+    """Document text of any netlist, valid or not (serialize_netlist takes only valid ones)."""
+    lines = [f"circuit {n.name}", " ".join(["inputs", *n.primary_inputs])]
+    lines += [f"const {wire} {bit}" for wire, bit in n.constants]
+    lines += [" ".join(["gate", inst.gate.name, *inst.inputs, "->", *inst.outputs]) for inst in n.gates]
+    lines += [" ".join(["outputs", *n.primary_outputs]), "end"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parse_reports_exactly_validates_errors(seed):
+    rng = random.Random(seed)
+    n = random_netlist(rng)
+    if n.gates:
+        # rewire one gate input to another existing wire or a fresh one
+        index = rng.randrange(len(n.gates))
+        inst = n.gates[index]
+        wires = [*n.primary_inputs, *n.constant_wires, *(w for g in n.gates for w in g.outputs), "fresh"]
+        inputs = list(inst.inputs)
+        inputs[rng.randrange(len(inputs))] = rng.choice(wires)
+        gates = list(n.gates)
+        gates[index] = GateInstance(inst.gate, inputs, inst.outputs)
+        n = Netlist(n.name, n.primary_inputs, n.constants, gates, n.primary_outputs)
+    errors = [v for v in validate(n) if v.severity == "error"]
+    text = render(n)
+    try:
+        parsed = parse_netlist(text)
+    except NetlistParseError as exc:
+        diags = exc.diagnostics
+    else:
+        assert not errors and parsed == n
+        return
+    assert errors
+    assert Counter(d.rule for d in diags) == Counter(v.rule for v in errors)
+    # each diagnostic sits on the wire (or, for a gate finding, the gate name) it is about
+    lines = text.splitlines()
+    about = Counter((v.rule, v.wire if v.wire is not None else n.gates[v.gate_index].gate.name) for v in errors)
+    assert Counter((d.rule, lines[d.line - 1].split()[d.token]) for d in diags) == about
