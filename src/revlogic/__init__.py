@@ -6,7 +6,7 @@ equivalence checking, cost metrics with published reference rows, adder
 generators, and a text format with a CLI on top.
 """
 
-from .builders import build_bcd_adder, build_bcd_chain, build_ripple_adder
+from .builders import adder_oracle, build_bcd_adder, build_bcd_chain, build_ripple_adder
 from .gates import (
     BUILTIN_GATES,
     DEFAULT_REGISTRY,
@@ -85,6 +85,7 @@ __all__ = [
     "TruthTableLimitError",
     "TruthTableRow",
     "Violation",
+    "adder_oracle",
     "analyze",
     "bits_to_int",
     "build_bcd_adder",

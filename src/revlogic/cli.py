@@ -1,7 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 validation/equivalence failure, 2 usage or
-parse error.  Bitstrings index wires in declaration order.
+Exit codes: 0 success, 1 equivalence failure, 2 usage or parse error.
+Any wire-rule violation is a parse error, reported as
+``parse error: line L, token T: [rule] message``.  Bitstrings index
+wires in declaration order.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .builders import build_bcd_adder, build_bcd_chain, build_ripple_adder
+from .builders import adder_oracle, build_bcd_adder, build_bcd_chain, build_ripple_adder
 from .metrics import analyze, compare, format_gate_multiset
 from .netlist import InvalidNetlistError, Netlist, garbage_wires, validate
 from .simulate import (
+    DEFAULT_COUNTEREXAMPLE_LIMIT,
     TruthTableLimitError,
-    bits_to_int,
     check_equivalence,
-    int_to_bits,
     run,
     run_inverse,
     truth_table,
@@ -50,12 +51,8 @@ def _parse_bitstring(text: str, width: int, what: str) -> list[int]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    netlist = _load(args.file)
-    violations = validate(netlist)
-    for violation in violations:
+    for violation in validate(_load(args.file)):
         print(f"{violation.severity}: [{violation.rule}] {violation.message}")
-    if any(v.severity == "error" for v in violations):
-        return EXIT_FAIL
     print("ok")
     return EXIT_OK
 
@@ -137,73 +134,22 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ripple_oracle(bits: tuple[int, ...]) -> tuple[int, ...]:
-    total = bits_to_int(bits[0:4]) + bits_to_int(bits[4:8]) + bits[8]
-    return tuple(int_to_bits(total % 16, 4) + [total // 16])
-
-
-def _bcd_oracle_domain(n_inputs: int):
-    def digits(bits):
-        a = bits_to_int(bits[0:4])
-        b = bits_to_int(bits[4:8])
-        cin = bits[8] if n_inputs == 9 else 0
-        return a, b, cin
-
-    def oracle(bits):
-        a, b, cin = digits(bits)
-        total = a + b + cin
-        return tuple(int_to_bits(total % 10, 4) + [total // 10])
-
-    def domain(bits):
-        a, b, _ = digits(bits)
-        return a <= 9 and b <= 9
-
-    return oracle, domain
-
-
-def _chain_oracle_domain(n: int):
-    def operands(bits):
-        a = 0
-        b = 0
-        for j in range(n):
-            a = a * 10 + bits_to_int(bits[4 * j : 4 * j + 4])
-            b = b * 10 + bits_to_int(bits[4 * n + 4 * j : 4 * n + 4 * j + 4])
-        return a, b, bits[8 * n]
-
-    def oracle(bits):
-        a, b, cin = operands(bits)
-        total = a + b + cin
-        out: list[int] = []
-        remainder = total % 10**n
-        for j in reversed(range(n)):
-            out.extend(int_to_bits(remainder // 10**j % 10, 4))
-        out.append(total // 10**n)
-        return tuple(out)
-
-    def domain(bits):
-        return all(
-            bits_to_int(bits[4 * j : 4 * j + 4]) <= 9 for j in range(2 * n)
-        )
-
-    return oracle, domain
-
-
 def _cmd_check_adder(args: argparse.Namespace) -> int:
     netlist = _load(args.file)
     n_inputs = len(netlist.primary_inputs)
     if args.kind == "ripple4":
         if n_inputs != 9:
             raise _UsageError(f"ripple4 netlists have 9 primary inputs, this one has {n_inputs}")
-        oracle, domain = _ripple_oracle, None
+        oracle, domain = adder_oracle(1, radix=16)
     elif args.kind == "bcd":
         if n_inputs not in (8, 9):
             raise _UsageError(f"bcd netlists have 8 or 9 primary inputs, this one has {n_inputs}")
-        oracle, domain = _bcd_oracle_domain(n_inputs)
+        oracle, domain = adder_oracle(1, carry_in=n_inputs == 9)
     else:
         digits = args.digits if args.digits is not None else (n_inputs - 1) // 8
         if digits < 1 or n_inputs != 8 * digits + 1:
             raise _UsageError(f"{n_inputs} primary inputs do not match a {digits}-digit chain")
-        oracle, domain = _chain_oracle_domain(digits)
+        oracle, domain = adder_oracle(digits)
     mismatches = check_equivalence(netlist, oracle, domain, limit=args.max_inputs)
     if mismatches:
         for m in mismatches:
@@ -211,7 +157,7 @@ def _cmd_check_adder(args: argparse.Namespace) -> int:
                 f"mismatch inputs={_bitstring(m.inputs)} "
                 f"expected={_bitstring(m.expected)} actual={_bitstring(m.actual)}"
             )
-        print(f"FAIL {len(mismatches)} mismatches (list capped at 16)")
+        print(f"FAIL {len(mismatches)} mismatches (list capped at {DEFAULT_COUNTEREXAMPLE_LIMIT})")
         return EXIT_FAIL
     print("ok")
     return EXIT_OK

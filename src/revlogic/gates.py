@@ -197,8 +197,7 @@ class GateDefinition:
     ) -> GateDefinition:
         """Build a gate from its full truth table (one output row per input pattern)."""
         rows = [tuple(row) for row in rows]
-        if not check_bijective(rows):
-            raise NonBijectiveError(f"{name}: duplicate output patterns")
+        check_bijective(rows)  # shape errors only; the constructor checks bijectivity
         arity = len(rows[0])
         return cls(name, arity, tuple(bits_to_int(row) for row in rows), quantum_cost, logic_cost)
 

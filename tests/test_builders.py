@@ -7,6 +7,7 @@ import pytest
 
 from revlogic import (
     LogicCost,
+    adder_oracle,
     analyze,
     build_bcd_adder,
     build_bcd_chain,
@@ -180,3 +181,39 @@ def test_chain_round_trip_samples():
         recovered = run_inverse(chain, result.terminals)
         assert {w: recovered[w] for w in chain.primary_inputs} == assignment
         assert all(recovered[w] == bit for w, bit in chain.constants)
+
+
+def test_adder_oracle_matches_independent_oracles():
+    binary, no_domain = adder_oracle(1, radix=16)
+    assert no_domain is None
+    decimal, domain = adder_oracle(1)
+    decimal_const, domain_const = adder_oracle(1, carry_in=False)
+    for pattern in itertools.product((0, 1), repeat=9):
+        assert binary(pattern) == binary_adder_oracle(pattern)
+        assert domain(pattern) == bcd_digit_domain(pattern)
+        if bcd_digit_domain(pattern):
+            assert decimal(pattern) == bcd_digit_oracle(pattern)
+    for pattern in itertools.product((0, 1), repeat=8):
+        assert domain_const(pattern) == bcd_digit_domain(pattern + (0,))
+        if bcd_digit_domain(pattern + (0,)):
+            assert decimal_const(pattern) == bcd_digit_oracle(pattern + (0,))
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 4])
+def test_adder_oracle_decimal_sums(digits):
+    oracle, domain = adder_oracle(digits)
+    top = 10**digits - 1
+    rng = random.Random(digits)
+    cases = [(a, b, cin) for a in (0, top) for b in (0, top) for cin in (0, 1)]
+    cases += [(rng.randrange(top + 1), rng.randrange(top + 1), rng.randint(0, 1)) for _ in range(200)]
+    for a, b, cin in cases:
+        bits = tuple(encode_bcd_operands(a, b, cin, digits))
+        assert domain(bits)
+        assert decode_bcd_result(oracle(bits), digits) == divmod(a + b + cin, 10**digits)[::-1]
+
+
+def test_adder_oracle_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        adder_oracle(0)
+    with pytest.raises(ValueError):
+        adder_oracle(1, radix=17)

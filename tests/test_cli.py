@@ -6,6 +6,7 @@ import pytest
 
 from revlogic import serialize_netlist, build_ripple_adder
 from revlogic.cli import main
+from revlogic.simulate import DEFAULT_COUNTEREXAMPLE_LIMIT
 
 GOOD = """\
 circuit c
@@ -188,6 +189,24 @@ def test_check_adder_chain(tmp_path, capsys):
     assert main(["check-adder", chain, "--kind", "bcd-chain", "--digits", "2"]) == 0
     # digit count inferred from the input count when omitted
     assert main(["check-adder", chain, "--kind", "bcd-chain"]) == 0
+
+
+def test_check_adder_bcd_without_carry_in(tmp_path, capsys):
+    # 8 primary inputs: the carry in is a constant line
+    path = str(tmp_path / "b.net")
+    main(["build", "bcd1", "--carry-in", "const", "-o", path])
+    assert main(["check-adder", path, "--kind", "bcd"]) == 0
+
+
+def test_check_adder_ripple_as_bcd_fails(tmp_path, capsys):
+    # the shapes match (9 inputs), so only the radix tells the adders apart
+    path = str(tmp_path / "r.net")
+    main(["build", "ripple4", "-o", path])
+    capsys.readouterr()
+    assert main(["check-adder", path, "--kind", "bcd"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("mismatch inputs=") == DEFAULT_COUNTEREXAMPLE_LIMIT
+    assert f"(list capped at {DEFAULT_COUNTEREXAMPLE_LIMIT})" in out
 
 
 def test_compare_with_literature(tmp_path, capsys):
