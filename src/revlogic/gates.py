@@ -157,6 +157,26 @@ class GateDefinition:
             inverse[dst] = src
         return tuple(inverse)
 
+    @cached_property
+    def anf(self) -> tuple[tuple[int, ...], ...]:
+        """Algebraic normal form of each output line, first line first.
+
+        Line ``o`` is the XOR of its monomials; a monomial is a mask over
+        input-pattern bits (the first input line is the most significant
+        bit) and stands for the AND of those lines, 0 for the constant 1.
+        """
+        coeffs = list(self.table)
+        # Möbius transform over GF(2); the output lines ride in parallel as the bits of each word
+        for bit in range(self.arity):
+            step = 1 << bit
+            for pattern in range(len(coeffs)):
+                if pattern & step:
+                    coeffs[pattern] ^= coeffs[pattern ^ step]
+        return tuple(
+            tuple(mono for mono, word in enumerate(coeffs) if word >> shift & 1)
+            for shift in reversed(range(self.arity))
+        )
+
     def apply(self, bits: Sequence[int]) -> list[int]:
         """Map an input bit vector to the gate's output bit vector."""
         return int_to_bits(self.table[self._pattern(bits)], self.arity)

@@ -7,14 +7,26 @@ netlists, so exhaustive sweeps may be partitioned across workers.  The
 validation result and the evaluation plan are each built once and
 cached on the immutable netlist object; concurrent first uses may each
 build them, with equal results.
+
+Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
+bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
+doubling up to 4096, and in a block every wire is one Python int
+holding one bit per pattern.  Each gate is applied to whole columns
+through its algebraic normal form (``GateDefinition.anf``: an XOR of
+ANDs of input columns), so it runs once per block rather than once per
+pattern; rows come back out through C-level string transposition.  The
+small first blocks keep a fail-fast check cheap, and the cap bounds
+memory.  ``run`` and ``run_inverse`` stay scalar, one pattern at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import islice, product, repeat
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .gates import bits_to_int, int_to_bits  # bits_to_int is re-exported
+from .gates import bits_to_int, int_to_bits  # both are re-exported
 from .netlist import Netlist, _Plan
 
 DEFAULT_INPUT_LIMIT = 20
@@ -145,20 +157,87 @@ def _check_width(netlist: Netlist, limit: int) -> int:
     return width
 
 
+_FIRST_BLOCK = 64
+_BLOCK = 1 << 12
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _blocks(width: int) -> Iterator[tuple[int, int]]:
+    """Aligned (start, size) blocks covering all 2^width patterns, start % size == 0."""
+    total = 1 << width
+    start = 0
+    while start < total:
+        size = min(max(start, _FIRST_BLOCK), _BLOCK, total)
+        yield start, size
+        start += size
+
+
+@lru_cache(maxsize=None)  # block sizes are powers of two up to _BLOCK: at most 13 entries
+def _low_columns(size: int) -> tuple[int, ...]:
+    """Columns of the pattern bits below ``size``: bit b alternates in runs of 2^b."""
+    ones = (1 << size) - 1
+    columns = []
+    span = 1
+    while span < size:
+        # ones // (2^(2 span) - 1) has a 1 every 2 span bits; the factor fills each period
+        columns.append(ones // ((1 << 2 * span) - 1) * (((1 << span) - 1) << span))
+        span *= 2
+    return tuple(columns)
+
+
+def _product(mono: int, products: dict[int, int], lines: list[int]) -> int:
+    """AND of the columns of the lines in ``mono``, memoised in ``products``."""
+    term = products.get(mono)
+    if term is None:
+        low = mono & -mono
+        term = products[mono] = _product(mono ^ low, products, lines) & lines[low.bit_length() - 1]
+    return term
+
+
+def _block_columns(netlist: Netlist, width: int) -> Iterator[tuple[int, list[int]]]:
+    """(size, column of every slot) per block; bit j of a column is its value on pattern start + j."""
+    plan = netlist._plan
+    steps = [(inst.gate.anf, step[2], step[3]) for inst, step in zip(netlist.gates, plan.steps)]
+    for start, size in _blocks(width):
+        ones = (1 << size) - 1
+        low = _low_columns(size)
+        values = [0] * len(plan.slots)
+        for slot in range(width):
+            bit = width - 1 - slot
+            values[slot] = low[bit] if bit < len(low) else ones * (start >> bit & 1)
+        for slot, bit in plan.const_slots:
+            values[slot] = ones * bit
+        for anf, in_slots, out_slots in steps:
+            lines = [values[slot] for slot in reversed(in_slots)]  # lines[b] is pattern bit b
+            products = {0: ones}
+            for slot, monomials in zip(out_slots, anf):
+                column = 0
+                for mono in monomials:
+                    column ^= _product(mono, products, lines)
+                values[slot] = column
+        yield size, values
+
+
+def _bit_rows(values: list[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Per-pattern tuples of the bits in ``slots``, in pattern order."""
+    if not slots:
+        return repeat((), size)
+    form = f"0{size}b"
+    return zip(*[format(values[slot], form).encode().translate(_TO_BITS)[::-1] for slot in slots])
+
+
 def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> list[TruthTableRow]:
     """All 2^k rows (input, primary output, garbage) in ascending input order."""
     plan = netlist._plan
     width = _check_width(netlist, limit)
-    rows = []
-    for pattern in range(1 << width):
-        bits = int_to_bits(pattern, width)
-        values = _forward(plan, bits)
-        rows.append(
-            TruthTableRow(
-                tuple(bits),
-                tuple(values[s] for s in plan.po_slots),
-                tuple(values[s] for s in plan.garbage_slots),
-            )
+    inputs = product((0, 1), repeat=width)
+    rows: list[TruthTableRow] = []
+    for size, values in _block_columns(netlist, width):
+        rows += map(
+            TruthTableRow,
+            islice(inputs, size),
+            _bit_rows(values, plan.po_slots, size),
+            _bit_rows(values, plan.garbage_slots, size),
         )
     return rows
 
@@ -180,16 +259,15 @@ def check_equivalence(
         raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
     plan = netlist._plan
     width = _check_width(netlist, limit)
+    inputs = product((0, 1), repeat=width)
     mismatches: list[Counterexample] = []
-    for pattern in range(1 << width):
-        bits = tuple(int_to_bits(pattern, width))
-        if domain is not None and not domain(bits):
-            continue
-        values = _forward(plan, bits)
-        actual = tuple(values[s] for s in plan.po_slots)
-        expected = tuple(oracle(bits))
-        if actual != expected:
-            mismatches.append(Counterexample(bits, expected, actual))
-            if len(mismatches) >= max_counterexamples:
-                break
+    for size, values in _block_columns(netlist, width):
+        for bits, actual in zip(islice(inputs, size), _bit_rows(values, plan.po_slots, size)):
+            if domain is not None and not domain(bits):
+                continue
+            expected = tuple(oracle(bits))
+            if actual != expected:
+                mismatches.append(Counterexample(bits, expected, actual))
+                if len(mismatches) >= max_counterexamples:
+                    return mismatches
     return mismatches

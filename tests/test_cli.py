@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from revlogic import serialize_netlist, build_ripple_adder
+from revlogic import GateInstance, Netlist, build_ripple_adder, builtin, serialize_netlist
 from revlogic.cli import main
 from revlogic.simulate import DEFAULT_COUNTEREXAMPLE_LIMIT
 
@@ -207,6 +207,38 @@ def test_check_adder_ripple_as_bcd_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("mismatch inputs=") == DEFAULT_COUNTEREXAMPLE_LIMIT
     assert f"(list capped at {DEFAULT_COUNTEREXAMPLE_LIMIT})" in out
+
+
+def test_check_adder_below_cap_prints_exact_count(tmp_path, capsys):
+    # three Toffolis flip s0 when c4, s3, s2 and s1 are all set: a+b+cin >= 30, 4 of 512 patterns
+    n = build_ripple_adder()
+    tg = builtin("TG")
+    extra = (
+        GateInstance(tg, ("c4", "s3", "m1"), ("c4x", "s3x", "m1x")),
+        GateInstance(tg, ("m1x", "s2", "m2"), ("m1y", "s2x", "m2x")),
+        GateInstance(tg, ("m2x", "s1", "s0"), ("m2y", "s1x", "s0x")),
+    )
+    flipped = Netlist(
+        "flip", n.primary_inputs, n.constants + (("m1", 0), ("m2", 0)), n.gates + extra,
+        ("s3x", "s2x", "s1x", "s0x", "c4x"),
+    )
+    path = tmp_path / "f.net"
+    path.write_text(serialize_netlist(flipped))
+    assert main(["check-adder", str(path), "--kind", "ripple4"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("mismatch inputs=") == 4
+    assert out.splitlines()[-1] == "FAIL 4 mismatches"
+    assert "capped" not in out
+
+
+def test_check_adder_at_cap_says_at_least(tmp_path, capsys):
+    path = str(tmp_path / "r.net")
+    main(["build", "ripple4", "-o", path])
+    capsys.readouterr()
+    assert main(["check-adder", path, "--kind", "bcd"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    limit = DEFAULT_COUNTEREXAMPLE_LIMIT
+    assert last == f"FAIL at least {limit} mismatches (list capped at {limit})"
 
 
 def test_compare_with_literature(tmp_path, capsys):

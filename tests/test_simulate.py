@@ -4,8 +4,12 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revlogic import (
+    Counterexample,
+    GateDefinition,
     GateInstance,
     Netlist,
     TruthTableLimitError,
@@ -15,6 +19,7 @@ from revlogic import (
     build_ripple_adder,
     builtin,
     check_equivalence,
+    garbage_wires,
     int_to_bits,
     parse_netlist,
     run,
@@ -23,6 +28,7 @@ from revlogic import (
     truth_table,
 )
 from helpers import (
+    GATE_POOL,
     bcd_digit_domain,
     bcd_digit_oracle,
     binary_adder_oracle,
@@ -242,3 +248,159 @@ def test_binding_errors_name_the_wire_on_a_large_chain():
         run_inverse(n, {w: b for w, b in terminals.items() if w != lost})
     with pytest.raises(ValueError, match="unexpected bindings: stray$"):
         run_inverse(n, dict(terminals, stray=1))
+
+
+# --- the bit-sliced sweep against the scalar engine and the gate definitions ---
+
+
+def evaluate_by_apply(netlist, bits):
+    """Every wire's value, gate by gate through ``GateDefinition.apply``."""
+    values = dict(zip(netlist.primary_inputs, bits))
+    values.update(netlist.constants)
+    for inst in netlist.gates:
+        values.update(zip(inst.outputs, inst.gate.apply([values[w] for w in inst.inputs])))
+    return values
+
+
+def assert_row_agrees(netlist, row):
+    garbage = garbage_wires(netlist)
+    result = run(netlist, dict(zip(netlist.primary_inputs, row.inputs)))
+    assert row.outputs == tuple(result.primary_out[w] for w in netlist.primary_outputs)
+    assert row.garbage == tuple(result.garbage_out[w] for w in garbage)
+    values = evaluate_by_apply(netlist, row.inputs)
+    assert row.outputs == tuple(values[w] for w in netlist.primary_outputs)
+    assert row.garbage == tuple(values[w] for w in garbage)
+
+
+def assert_table_agrees(netlist):
+    width = len(netlist.primary_inputs)
+    rows = truth_table(netlist)
+    assert [row.inputs for row in rows] == [tuple(int_to_bits(p, width)) for p in range(1 << width)]
+    for row in rows:
+        assert_row_agrees(netlist, row)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_truth_table_agrees_with_run_and_apply(seed):
+    n = random_netlist(random.Random(seed), max_gates=10)
+    assume(len(n.primary_inputs) <= 10)
+    assert_table_agrees(n)
+
+
+def test_truth_table_without_primary_inputs():
+    n = Netlist("k", (), (("k0", 1), ("k1", 0)), (GateInstance(FG, ("k0", "k1"), ("p", "q")),), ("p",))
+    assert assert_table_agrees(n) == [((), (1,), (1,))]
+    assert check_equivalence(n, lambda bits: (1,)) == []
+    assert check_equivalence(n, lambda bits: (0,)) == [Counterexample((), (0,), (1,))]
+
+
+def test_truth_table_without_primary_outputs():
+    n = Netlist("sink", ("a", "b"), (), (GateInstance(FG, ("a", "b"), ("p", "q")),), ())
+    rows = assert_table_agrees(n)
+    assert [row.outputs for row in rows] == [()] * 4
+    assert [row.garbage for row in rows] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert check_equivalence(n, lambda bits: ()) == []
+
+
+def test_truth_table_without_garbage():
+    pfag, hnfg = builtin("PFAG"), builtin("HNFG")
+    gates = (
+        GateInstance(pfag, ("a", "b", "c", "d"), ("p", "q", "r", "s")),
+        GateInstance(hnfg, ("s", "r", "q", "p"), ("w", "x", "y", "z")),
+    )
+    n = Netlist("full", ("a", "b", "c", "d"), (), gates, ("w", "x", "y", "z"))
+    rows = assert_table_agrees(n)
+    assert all(row.garbage == () for row in rows)
+
+
+def test_anf_of_a_random_arity_8_permutation():
+    rng = random.Random(8)
+    table = list(range(256))
+    rng.shuffle(table)
+    gate = GateDefinition("P8", 8, tuple(table))
+    for pattern in range(256):
+        word = 0
+        for monomials in gate.anf:
+            bit = 0
+            for mono in monomials:
+                bit ^= mono & pattern == mono  # the AND of the lines in mono
+            word = word << 1 | bit
+        assert word == gate.table[pattern]
+    lines = tuple(f"i{k}" for k in range(8))
+    outs = tuple(f"o{k}" for k in range(8))
+    n = Netlist("p8", lines, (), (GateInstance(gate, lines, outs),), outs[:5])
+    assert_table_agrees(n)
+
+
+def wide_netlist(width=14, n_gates=24, seed=13):
+    """Random gates over ``width`` inputs and three constants, half the free wires as outputs."""
+    rng = random.Random(seed)
+    inputs = tuple(f"x{k}" for k in range(width))
+    constants = (("k0", 0), ("k1", 1), ("k2", 0))
+    available = list(inputs) + [w for w, _ in constants]
+    gates = []
+    for index in range(n_gates):
+        gate = builtin(rng.choice(GATE_POOL))
+        rng.shuffle(available)
+        ins = tuple(available.pop() for _ in range(gate.arity))
+        outs = tuple(f"g{index}_{k}" for k in range(gate.arity))
+        gates.append(GateInstance(gate, ins, outs))
+        available.extend(outs)
+    outputs = tuple(sorted(available)[::2])
+    return Netlist("wide", inputs, constants, tuple(gates), outputs)
+
+
+def test_sweep_across_block_boundaries():
+    n = wide_netlist()
+    width = len(n.primary_inputs)
+    assert width >= 13 and garbage_wires(n)
+    rows = truth_table(n)
+    assert len(rows) == 1 << width
+    edges = {0, 63, 64, 127, 128, 255, 256, 4095, 4096, 8191, 8192, 12287, 12288, (1 << width) - 1}
+    for index in sorted(edges | set(random.Random(1).sample(range(1 << width), 300))):
+        assert rows[index].inputs == tuple(int_to_bits(index, width))
+        assert_row_agrees(n, rows[index])
+
+
+def test_check_equivalence_matches_a_scalar_loop_across_blocks():
+    n = wide_netlist()
+    width = len(n.primary_inputs)
+    by_run = {}
+    for pattern in range(1 << width):
+        bits = tuple(int_to_bits(pattern, width))
+        result = run(n, dict(zip(n.primary_inputs, bits)))
+        by_run[bits] = tuple(result.primary_out[w] for w in n.primary_outputs)
+
+    def oracle(bits):
+        # wrong on a sparse set of patterns spread over every block
+        expected = by_run[bits]
+        if bits_to_int(bits) % 997 == 5:
+            expected = (1 - expected[0],) + expected[1:]
+        return expected
+
+    seen = []
+
+    def domain(bits):
+        seen.append(bits)
+        return bits[-2] == 0  # skips every other pair of patterns
+
+    # the scalar reference: every in-domain pattern through run, in ascending order
+    scalar = []
+    for pattern in range(1 << width):
+        bits = tuple(int_to_bits(pattern, width))
+        if not domain(bits):
+            continue
+        expected = oracle(bits)
+        if by_run[bits] != expected:
+            scalar.append(Counterexample(bits, expected, by_run[bits]))
+    assert len(scalar) > 5 and bits_to_int(scalar[-1].inputs) > 12288
+
+    for cap in (1, 5, len(scalar), 10_000):
+        seen.clear()
+        assert check_equivalence(n, oracle, domain, max_counterexamples=cap) == scalar[:cap]
+        # the domain sees every pattern in ascending order, up to the last counterexample kept
+        assert seen == [tuple(int_to_bits(p, width)) for p in range(len(seen))]
+        last = bits_to_int(scalar[cap - 1].inputs) if cap <= len(scalar) else (1 << width) - 1
+        assert len(seen) == last + 1
