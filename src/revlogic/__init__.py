@@ -19,7 +19,6 @@ from .gates import (
     NonBijectiveError,
     TableShapeError,
     builtin,
-    check_bijective,
     define_custom_gate,
 )
 from .metrics import (
@@ -92,7 +91,6 @@ __all__ = [
     "build_bcd_chain",
     "build_ripple_adder",
     "builtin",
-    "check_bijective",
     "check_equivalence",
     "compare",
     "define_custom_gate",

@@ -19,6 +19,7 @@ from .metrics import analyze, compare, format_gate_multiset
 from .netlist import Netlist, garbage_wires, validate
 from .simulate import (
     DEFAULT_COUNTEREXAMPLE_LIMIT,
+    DEFAULT_INPUT_LIMIT,
     TruthTableLimitError,
     check_equivalence,
     run,
@@ -135,6 +136,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_adder(args: argparse.Namespace) -> int:
+    if args.kind != "bcd-chain" and args.digits is not None:
+        raise _UsageError("--digits is only valid with --kind bcd-chain")
     netlist = _load(args.file)
     n_inputs = len(netlist.primary_inputs)
     if args.kind == "ripple4":
@@ -194,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--in", dest="input_bits", metavar="BITSTRING")
     group.add_argument("--exhaustive", action="store_true")
     p.add_argument("--show-garbage", action="store_true")
-    p.add_argument("--max-inputs", type=int, default=20)
+    p.add_argument("--max-inputs", type=int, default=DEFAULT_INPUT_LIMIT)
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("inverse", help="inverse simulation from all terminal lines")
@@ -218,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", choices=("ripple4", "bcd", "bcd-chain"), required=True)
     p.add_argument("--digits", type=int)
-    p.add_argument("--max-inputs", type=int, default=20)
+    p.add_argument("--max-inputs", type=int, default=DEFAULT_INPUT_LIMIT)
     p.set_defaults(func=_cmd_check_adder)
 
     p = sub.add_parser("compare", help="metrics comparison table")

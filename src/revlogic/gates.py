@@ -70,11 +70,6 @@ class LogicCost:
     def __add__(self, other: LogicCost) -> LogicCost:
         return LogicCost(self.xors + other.xors, self.ands + other.ands, self.nots + other.nots)
 
-    def __mul__(self, count: int) -> LogicCost:
-        return LogicCost(self.xors * count, self.ands * count, self.nots * count)
-
-    __rmul__ = __mul__
-
     def to_dict(self) -> dict[str, int]:
         return {"xor": self.xors, "and": self.ands, "not": self.nots}
 
@@ -97,28 +92,6 @@ def bits_to_int(bits: Sequence[int]) -> int:
     for bit in bits:
         value = (value << 1) | bit
     return value
-
-
-def check_bijective(table: Sequence[Sequence[int]]) -> bool:
-    """True iff the table's 2^k output rows are pairwise distinct.
-
-    The table lists, for each input pattern in ascending order, the
-    output pattern as a bit vector.  Raises TableShapeError unless it
-    has exactly 2^k rows of uniform width k with entries in {0, 1}.
-    """
-    rows = [tuple(row) for row in table]
-    if not rows:
-        raise TableShapeError("empty table")
-    width = len(rows[0])
-    if width == 0:
-        raise TableShapeError("rows must be non-empty")
-    if any(len(row) != width for row in rows):
-        raise TableShapeError("rows must all have the same width")
-    if any(bit not in (0, 1) for row in rows for bit in row):
-        raise TableShapeError("entries must be 0 or 1")
-    if len(rows) != 1 << width:
-        raise TableShapeError(f"expected {1 << width} rows for width {width}, got {len(rows)}")
-    return len(set(rows)) == len(rows)
 
 
 @dataclass(frozen=True)
@@ -215,11 +188,25 @@ class GateDefinition:
         quantum_cost: int | None = None,
         logic_cost: LogicCost = LogicCost(),
     ) -> GateDefinition:
-        """Build a gate from its full truth table (one output row per input pattern)."""
+        """Build a gate from its full truth table (one output row per input pattern).
+
+        Raises TableShapeError unless the table has exactly 2^k rows of
+        uniform width k with entries in {0, 1}, and NonBijectiveError
+        when two rows are equal.
+        """
         rows = [tuple(row) for row in rows]
-        check_bijective(rows)  # shape errors only; the constructor checks bijectivity
-        arity = len(rows[0])
-        return cls(name, arity, tuple(bits_to_int(row) for row in rows), quantum_cost, logic_cost)
+        if not rows:
+            raise TableShapeError("empty table")
+        width = len(rows[0])
+        if width == 0:
+            raise TableShapeError("rows must be non-empty")
+        if any(len(row) != width for row in rows):
+            raise TableShapeError("rows must all have the same width")
+        if any(bit not in (0, 1) for row in rows for bit in row):
+            raise TableShapeError("entries must be 0 or 1")
+        if len(rows) != 1 << width:
+            raise TableShapeError(f"expected {1 << width} rows for width {width}, got {len(rows)}")
+        return cls(name, width, tuple(bits_to_int(row) for row in rows), quantum_cost, logic_cost)
 
 
 def _fg(a, b):
@@ -313,9 +300,6 @@ class GateRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._gates
-
-    def names(self) -> list[str]:
-        return sorted(self._gates)
 
 
 DEFAULT_REGISTRY = GateRegistry()

@@ -175,28 +175,28 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
 
 
 class _Plan:
-    """Slot-indexed evaluation schedule of one valid netlist.
+    """The one compiled schedule of a valid netlist, read by every engine.
 
     Wires take slots in definition order, so the primary inputs fill the
-    first slots.  Each step is (table, inverse table, input slots,
-    output slots).
+    first slots and the constants the next ones.  Gate ``i`` is
+    ``gates[i]``, reading ``in_slots[i]`` and writing ``out_slots[i]``:
+    the scalar kernel applies its ``table`` forwards and its
+    ``inverse_table`` backwards, the block engine its ``anf``.
     """
 
     def __init__(self, netlist: Netlist, garbage: tuple[str, ...]) -> None:
         slots: dict[str, int] = {}
-        for wire in netlist.primary_inputs:
+        for wire in netlist.primary_inputs + netlist.constant_wires:
             slots[wire] = len(slots)
-        self.const_slots: list[tuple[int, int]] = []
-        for wire, bit in netlist.constants:
-            slots[wire] = len(slots)
-            self.const_slots.append((slots[wire], bit))
-        self.steps: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+        self.const_bits = tuple(bit for _wire, bit in netlist.constants)
+        self.gates = tuple(inst.gate for inst in netlist.gates)
+        self.in_slots: list[tuple[int, ...]] = []
+        self.out_slots: list[tuple[int, ...]] = []
         for inst in netlist.gates:
-            in_slots = tuple(slots[w] for w in inst.inputs)
+            self.in_slots.append(tuple(slots[w] for w in inst.inputs))
             for wire in inst.outputs:
                 slots[wire] = len(slots)
-            out_slots = tuple(slots[w] for w in inst.outputs)
-            self.steps.append((inst.gate.table, inst.gate.inverse_table, in_slots, out_slots))
+            self.out_slots.append(tuple(slots[w] for w in inst.outputs))
         self.slots = slots
         self.po_slots = tuple(slots[w] for w in netlist.primary_outputs)
         self.garbage_wires = garbage

@@ -8,6 +8,13 @@ validation result and the evaluation plan are each built once and
 cached on the immutable netlist object; concurrent first uses may each
 build them, with equal results.
 
+Every engine reads that one plan: each gate's definition with its input
+and output slots.  ``run`` and ``run_inverse`` share one scalar kernel,
+one pattern at a time.  Forwards it applies each gate's ``table`` from
+input to output slots in gate order; backwards, because every gate is a
+bijection, it applies each ``inverse_table`` from output to input slots
+in reverse order and so recovers the source lines.
+
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
 doubling up to 4096, and in a block every wire is one Python int
@@ -16,7 +23,7 @@ through its algebraic normal form (``GateDefinition.anf``: an XOR of
 ANDs of input columns), so it runs once per block rather than once per
 pattern; rows come back out through C-level string transposition.  The
 small first blocks keep a fail-fast check cheap, and the cap bounds
-memory.  ``run`` and ``run_inverse`` stay scalar, one pattern at a time.
+memory.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product, repeat
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gates import bits_to_int, int_to_bits  # both are re-exported
 from .netlist import Netlist, _Plan
@@ -66,37 +74,21 @@ class Counterexample:
     actual: tuple[int, ...]
 
 
-def _forward(plan: _Plan, input_bits: Sequence[int]) -> list[int]:
-    values = [0] * len(plan.slots)
-    values[: len(input_bits)] = input_bits
-    for slot, bit in plan.const_slots:
-        values[slot] = bit
-    for table, _inverse, in_slots, out_slots in plan.steps:
+def _propagate(values: list[int], moves: Iterable[tuple[Sequence[int], Sequence[int], Sequence[int]]]) -> None:
+    """Apply each (table, source slots, destination slots) move to ``values`` in turn.
+
+    The source bits, first slot most significant, index the table; the
+    entry's bits are written to the destination slots in the same order.
+    """
+    for table, sources, destinations in moves:
         pattern = 0
-        for slot in in_slots:
+        for slot in sources:
             pattern = (pattern << 1) | values[slot]
         out = table[pattern]
-        shift = len(out_slots) - 1
-        for slot in out_slots:
+        shift = len(destinations) - 1
+        for slot in destinations:
             values[slot] = (out >> shift) & 1
             shift -= 1
-    return values
-
-
-def _backward(plan: _Plan, terminal: Mapping[str, int]) -> list[int]:
-    values = [0] * len(plan.slots)
-    for wire, bit in terminal.items():
-        values[plan.slots[wire]] = bit
-    for _table, inverse, in_slots, out_slots in reversed(plan.steps):
-        pattern = 0
-        for slot in out_slots:
-            pattern = (pattern << 1) | values[slot]
-        src = inverse[pattern]
-        shift = len(in_slots) - 1
-        for slot in in_slots:
-            values[slot] = (src >> shift) & 1
-            shift -= 1
-    return values
 
 
 def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, int]) -> None:
@@ -124,8 +116,11 @@ def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
     """
     plan = netlist._plan
     _check_assignment("input", netlist.primary_inputs, inputs)
-    values = _forward(plan, [inputs[w] for w in netlist.primary_inputs])
-    all_lines = {wire: values[slot] for wire, slot in plan.slots.items()}
+    values = [inputs[w] for w in netlist.primary_inputs]
+    values += plan.const_bits
+    values += [0] * (len(plan.slots) - len(values))
+    _propagate(values, zip(map(attrgetter("table"), plan.gates), plan.in_slots, plan.out_slots))
+    all_lines = dict(zip(plan.slots, values))
     primary = {wire: all_lines[wire] for wire in netlist.primary_outputs}
     garbage = {wire: all_lines[wire] for wire in plan.garbage_wires}
     return TraceResult(primary, garbage, all_lines)
@@ -140,11 +135,14 @@ def run_inverse(netlist: Netlist, terminal: Mapping[str, int]) -> dict[str, int]
     """
     plan = netlist._plan
     _check_assignment("terminal", plan.terminal_wires, terminal)
-    values = _backward(plan, terminal)
-    recovered = {wire: values[plan.slots[wire]] for wire in netlist.primary_inputs}
-    for wire, _bit in netlist.constants:
-        recovered[wire] = values[plan.slots[wire]]
-    return recovered
+    slots = plan.slots
+    values = [0] * len(slots)
+    for wire, bit in terminal.items():
+        values[slots[wire]] = bit
+    inverses = map(attrgetter("inverse_table"), reversed(plan.gates))
+    _propagate(values, zip(inverses, reversed(plan.out_slots), reversed(plan.in_slots)))
+    sources = len(netlist.primary_inputs) + len(plan.const_bits)
+    return dict(zip(slots, values[:sources]))
 
 
 def _check_width(netlist: Netlist, limit: int) -> int:
@@ -194,10 +192,9 @@ def _product(mono: int, products: dict[int, int], lines: list[int]) -> int:
     return term
 
 
-def _block_columns(netlist: Netlist, width: int) -> Iterator[tuple[int, list[int]]]:
+def _block_columns(plan: _Plan, width: int) -> Iterator[tuple[int, list[int]]]:
     """(size, column of every slot) per block; bit j of a column is its value on pattern start + j."""
-    plan = netlist._plan
-    steps = [(inst.gate.anf, step[2], step[3]) for inst, step in zip(netlist.gates, plan.steps)]
+    steps = list(zip(map(attrgetter("anf"), plan.gates), plan.in_slots, plan.out_slots))
     for start, size in _blocks(width):
         ones = (1 << size) - 1
         low = _low_columns(size)
@@ -205,7 +202,7 @@ def _block_columns(netlist: Netlist, width: int) -> Iterator[tuple[int, list[int
         for slot in range(width):
             bit = width - 1 - slot
             values[slot] = low[bit] if bit < len(low) else ones * (start >> bit & 1)
-        for slot, bit in plan.const_slots:
+        for slot, bit in enumerate(plan.const_bits, width):
             values[slot] = ones * bit
         for anf, in_slots, out_slots in steps:
             lines = [values[slot] for slot in reversed(in_slots)]  # lines[b] is pattern bit b
@@ -232,7 +229,7 @@ def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> list[Trut
     width = _check_width(netlist, limit)
     inputs = product((0, 1), repeat=width)
     rows: list[TruthTableRow] = []
-    for size, values in _block_columns(netlist, width):
+    for size, values in _block_columns(plan, width):
         rows += map(
             TruthTableRow,
             islice(inputs, size),
@@ -261,7 +258,7 @@ def check_equivalence(
     width = _check_width(netlist, limit)
     inputs = product((0, 1), repeat=width)
     mismatches: list[Counterexample] = []
-    for size, values in _block_columns(netlist, width):
+    for size, values in _block_columns(plan, width):
         for bits, actual in zip(islice(inputs, size), _bit_rows(values, plan.po_slots, size)):
             if domain is not None and not domain(bits):
                 continue

@@ -191,6 +191,17 @@ def test_check_adder_chain(tmp_path, capsys):
     assert main(["check-adder", chain, "--kind", "bcd-chain"]) == 0
 
 
+@pytest.mark.parametrize("kind, design", [("bcd", "bcd2"), ("ripple4", "ripple4")])
+def test_check_adder_digits_only_with_chain(kind, design, tmp_path, capsys):
+    path = str(tmp_path / "a.net")
+    main(["build", design, "-o", path])
+    capsys.readouterr()
+    assert main(["check-adder", path, "--kind", kind, "--digits", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--digits is only valid with --kind bcd-chain" in captured.err
+
+
 def test_check_adder_bcd_without_carry_in(tmp_path, capsys):
     # 8 primary inputs: the carry in is a constant line
     path = str(tmp_path / "b.net")

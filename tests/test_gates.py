@@ -15,7 +15,6 @@ from revlogic import (
     NonBijectiveError,
     TableShapeError,
     builtin,
-    check_bijective,
     define_custom_gate,
 )
 from revlogic.gates import BUILTIN_FUNCTIONS
@@ -109,24 +108,25 @@ def test_pfag_triple_copy():
         assert gate.apply([a, 0, 0, 0]) == [a, a, a, 0]
 
 
-def test_check_bijective():
+def test_from_table_bijectivity():
     identity = [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert check_bijective(identity) is True
+    assert GateDefinition.from_table("ID", identity).table == (0, 1, 2, 3)
     collapsing = [[0, 0], [0, 0], [1, 0], [1, 1]]
-    assert check_bijective(collapsing) is False
+    with pytest.raises(NonBijectiveError):
+        GateDefinition.from_table("BAD", collapsing)
     pfag_rows = [builtin("PFAG").apply(list(bits)) for bits in itertools.product((0, 1), repeat=4)]
-    assert check_bijective(pfag_rows) is True
+    assert GateDefinition.from_table("P", pfag_rows).table == builtin("PFAG").table
 
 
-def test_check_bijective_shape_errors():
-    with pytest.raises(TableShapeError):
-        check_bijective([])
-    with pytest.raises(TableShapeError):
-        check_bijective([[0, 0], [0, 1], [1, 0]])  # wrong row count
-    with pytest.raises(TableShapeError):
-        check_bijective([[0, 0], [0], [1, 0], [1, 1]])  # ragged
-    with pytest.raises(TableShapeError):
-        check_bijective([[0, 2], [0, 1], [1, 0], [1, 1]])  # non-bit entry
+def test_from_table_shape_errors():
+    with pytest.raises(TableShapeError, match="empty table"):
+        GateDefinition.from_table("T", [])
+    with pytest.raises(TableShapeError, match="expected 4 rows for width 2, got 3"):
+        GateDefinition.from_table("T", [[0, 0], [0, 1], [1, 0]])
+    with pytest.raises(TableShapeError, match="same width"):
+        GateDefinition.from_table("T", [[0, 0], [0], [1, 0], [1, 1]])
+    with pytest.raises(TableShapeError, match="0 or 1"):
+        GateDefinition.from_table("T", [[0, 2], [0, 1], [1, 0], [1, 1]])
 
 
 def test_define_custom_gate_swap():
@@ -171,7 +171,7 @@ def test_logic_cost_algebra():
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a + LogicCost() == a
-    assert 3 * a == LogicCost(3, 6, 9)
+    assert a + a + a == LogicCost(3, 6, 9)
     with pytest.raises(ValueError):
         LogicCost(-1, 0, 0)
 
