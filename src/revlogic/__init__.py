@@ -50,6 +50,7 @@ from .simulate import (
     bits_to_int,
     check_equivalence,
     int_to_bits,
+    iter_truth_table,
     run,
     run_inverse,
     truth_table,
@@ -98,6 +99,7 @@ __all__ = [
     "garbage_wires",
     "int_to_bits",
     "is_valid",
+    "iter_truth_table",
     "literature_table",
     "parse_netlist",
     "require_valid",

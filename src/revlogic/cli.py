@@ -1,6 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 equivalence failure, 2 usage or parse error.
+Exit codes: 0 success, 1 equivalence failure, 2 usage or parse error,
+141 (128 + SIGPIPE, as a shell reports ``yes | head``) when the reader
+of standard output closes it early.
 Any wire-rule violation is a parse error, reported as
 ``parse error: line L, token T: [rule] message``.  Bitstrings index
 wires in declaration order.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -22,15 +25,16 @@ from .simulate import (
     DEFAULT_INPUT_LIMIT,
     TruthTableLimitError,
     check_equivalence,
+    iter_truth_table,
     run,
     run_inverse,
-    truth_table,
 )
 from .textio import NetlistParseError, parse_netlist, serialize_netlist
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -41,8 +45,11 @@ def _load(path: str) -> Netlist:
     return parse_netlist(Path(path).read_text(encoding="utf-8"))
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bitstring(bits: Sequence[int]) -> str:
-    return "".join(str(b) for b in bits)
+    return bytes(bits).translate(_BIT_CHARS).decode("ascii")
 
 
 def _parse_bitstring(text: str, width: int, what: str) -> list[int]:
@@ -66,7 +73,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.show_garbage:
         print("# garbage: " + " ".join(garbage))
     if args.exhaustive:
-        for row in truth_table(netlist, limit=args.max_inputs):
+        for row in iter_truth_table(netlist, limit=args.max_inputs):
             line = f"{_bitstring(row.inputs)} -> {_bitstring(row.outputs)}"
             if args.show_garbage:
                 line = f"{line} | {_bitstring(row.garbage)}".rstrip()
@@ -237,7 +244,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; aim stdout at devnull so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except NetlistParseError as exc:
         for diagnostic in exc.diagnostics:
             print(f"parse error: {diagnostic}", file=sys.stderr)

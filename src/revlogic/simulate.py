@@ -24,13 +24,25 @@ ANDs of input columns), so it runs once per block rather than once per
 pattern; rows come back out through C-level string transposition.  The
 small first blocks keep a fail-fast check cheap, and the cap bounds
 memory.
+
+There is one row generator, ``iter_truth_table``, which yields a block's
+rows before computing the next block's columns, so a caller that streams
+the table (``sim --exhaustive``) holds one block, not the table.
+``truth_table`` is that generator drained into a list with the cyclic
+garbage collector paused: the rows are acyclic tuples of ints, so the
+hundreds of collections their allocation would set off could free
+nothing.  The pause covers only the list build, and the collector's
+previous state is restored even if the build raises; overlapping calls
+in threads take turns at the pause.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -155,6 +167,9 @@ def _check_width(netlist: Netlist, limit: int) -> int:
     return width
 
 
+# the collector switch is process-wide: one pause at a time, so that overlapping
+# calls in threads each find and restore the state from before any pause
+_GC_PAUSE = threading.Lock()
 _FIRST_BLOCK = 64
 _BLOCK = 1 << 12
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -223,20 +238,42 @@ def _bit_rows(values: list[int], slots: Sequence[int], size: int) -> Iterator[tu
     return zip(*[format(values[slot], form).encode().translate(_TO_BITS)[::-1] for slot in slots])
 
 
-def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> list[TruthTableRow]:
-    """All 2^k rows (input, primary output, garbage) in ascending input order."""
+def iter_truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> Iterator[TruthTableRow]:
+    """Yield all 2^k rows (input, primary output, garbage) in ascending input order.
+
+    Rows are computed one block at a time, as the iterator is consumed.
+    The input count is checked against ``limit`` by this call, before
+    any row is asked for.
+    """
     plan = netlist._plan
     width = _check_width(netlist, limit)
     inputs = product((0, 1), repeat=width)
-    rows: list[TruthTableRow] = []
-    for size, values in _block_columns(plan, width):
-        rows += map(
+    return chain.from_iterable(
+        map(
             TruthTableRow,
             islice(inputs, size),
             _bit_rows(values, plan.po_slots, size),
             _bit_rows(values, plan.garbage_slots, size),
         )
-    return rows
+        for size, values in _block_columns(plan, width)
+    )
+
+
+def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> list[TruthTableRow]:
+    """All 2^k rows of ``iter_truth_table`` as a list.
+
+    The cyclic garbage collector is paused while the list is built and
+    then restored to the state it had before the call.
+    """
+    rows = iter_truth_table(netlist, limit)
+    with _GC_PAUSE:
+        enabled = gc.isenabled()
+        gc.disable()  # the rows are acyclic, so no collection set off by their allocation could free any
+        try:
+            return list(rows)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def check_equivalence(

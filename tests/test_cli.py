@@ -1,10 +1,17 @@
 """End-to-end CLI tests driving revlogic.cli.main."""
 
+import contextlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from revlogic import GateInstance, Netlist, build_ripple_adder, builtin, serialize_netlist
+import revlogic
+from revlogic import GateInstance, Netlist, build_ripple_adder, builtin, parse_netlist, serialize_netlist, truth_table
 from revlogic.cli import main
 from revlogic.simulate import DEFAULT_COUNTEREXAMPLE_LIMIT
 
@@ -128,10 +135,46 @@ def test_sim_exhaustive_row_count(netfile, capsys):
     assert rows[0] == "00 -> 00 |"
 
 
+def wide_text(width):
+    """A gate-free netlist whose inputs are its outputs: a 2^width-row table, cheap to compute."""
+    wires = " ".join(f"i{k}" for k in range(width))
+    return f"circuit wide\ninputs {wires}\noutputs {wires}\nend\n"
+
+
+def test_sim_exhaustive_streams_rows(netfile):
+    text = wide_text(14)
+    path = netfile(text)
+    tracemalloc.start()
+    try:
+        rows = truth_table(parse_netlist(text))
+        table = tracemalloc.get_traced_memory()[0]
+        del rows
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["sim", path, "--exhaustive", "--show-garbage"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the 16384 rows as a list take megabytes; streaming holds one block of at most 4096 patterns
+    assert peak * 10 < table
+
+
+def test_sim_closed_pipe_exits_141_quietly(netfile):
+    src = str(Path(revlogic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "revlogic.cli", "sim", netfile(wide_text(16)), "--exhaustive"]
+    # 65536 rows overflow any pipe buffer, so the command is still writing when the reader leaves
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"# inputs: i0 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_sim_max_inputs_refusal(netfile, capsys):
-    wires = " ".join(f"i{k}" for k in range(21))
-    text = f"circuit wide\ninputs {wires}\noutputs {wires}\nend\n"
-    assert main(["sim", netfile(text), "--exhaustive"]) == 2
+    assert main(["sim", netfile(wide_text(21)), "--exhaustive"]) == 2
     assert "--max-inputs" in capsys.readouterr().err
 
 

@@ -1,6 +1,9 @@
 """Simulator tests: forward runs, inverse recovery, truth tables, oracle checks."""
 
+import gc
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -21,12 +24,14 @@ from revlogic import (
     check_equivalence,
     garbage_wires,
     int_to_bits,
+    iter_truth_table,
     parse_netlist,
     run,
     run_inverse,
     serialize_netlist,
     truth_table,
 )
+from revlogic import simulate
 from helpers import (
     GATE_POOL,
     bcd_digit_domain,
@@ -154,6 +159,8 @@ def test_truth_table_limit_refusal():
     wide = Netlist("wide", wires, (), (), wires)
     with pytest.raises(TruthTableLimitError, match="--max-inputs"):
         truth_table(wide)
+    with pytest.raises(TruthTableLimitError):
+        iter_truth_table(wide)  # refused by the call, before any row is asked for
     with pytest.raises(TruthTableLimitError):
         check_equivalence(wide, lambda bits: bits)
     # a raised limit is honoured (3-wire net, limit 2 refuses; limit 3 runs)
@@ -286,7 +293,70 @@ def assert_table_agrees(netlist):
 def test_truth_table_agrees_with_run_and_apply(seed):
     n = random_netlist(random.Random(seed), max_gates=10)
     assume(len(n.primary_inputs) <= 10)
-    assert_table_agrees(n)
+    rows = assert_table_agrees(n)
+    assert list(iter_truth_table(n)) == rows
+
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_truth_table_restores_collector_state(enabled, monkeypatch):
+    n = build_bcd_adder("bcd2")  # 9 inputs: blocks of 64, 64, 128 and 256 patterns
+    was = gc.isenabled()
+    try:
+        set_collector(enabled)
+        assert len(truth_table(n)) == 512
+        assert gc.isenabled() == enabled
+
+        real, calls = simulate._bit_rows, []
+
+        def fail_after_first_block(values, slots, size):
+            calls.append(size)
+            if len(calls) > 2:  # one call for the outputs and one for the garbage per block
+                raise RuntimeError("row building failed")
+            return real(values, slots, size)
+
+        monkeypatch.setattr(simulate, "_bit_rows", fail_after_first_block)
+        with pytest.raises(RuntimeError, match="row building failed"):
+            truth_table(n)
+        assert calls == [64, 64, 64]
+        assert gc.isenabled() == enabled
+    finally:
+        set_collector(was)
+
+
+def test_truth_table_threads_restore_collector_state():
+    # many short calls in more threads than cores, switching as often as the
+    # interpreter allows: unserialised pauses leave the collector off
+    n = single_fg()
+    expected = truth_table(n)
+    interval, was = sys.getswitchinterval(), gc.isenabled()
+    wrong = []
+
+    def work():
+        for _ in range(10_000):
+            if truth_table(n) != expected:
+                wrong.append(1)
+
+    try:
+        gc.enable()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        set_collector(was)
+    assert wrong == []
 
 
 def test_truth_table_without_primary_inputs():
