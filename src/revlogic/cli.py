@@ -68,18 +68,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_sim(args: argparse.Namespace) -> int:
     netlist = _load(args.file)
     garbage = garbage_wires(netlist)
+    # refuse a wide table or a bad bitstring before the header is printed
+    if args.exhaustive:
+        rows = iter_truth_table(netlist, limit=args.max_inputs)
+    else:
+        bits = _parse_bitstring(args.input_bits, len(netlist.primary_inputs), "--in")
     print("# inputs: " + " ".join(netlist.primary_inputs))
     print("# outputs: " + " ".join(netlist.primary_outputs))
     if args.show_garbage:
         print("# garbage: " + " ".join(garbage))
     if args.exhaustive:
-        for row in iter_truth_table(netlist, limit=args.max_inputs):
+        for row in rows:
             line = f"{_bitstring(row.inputs)} -> {_bitstring(row.outputs)}"
             if args.show_garbage:
                 line = f"{line} | {_bitstring(row.garbage)}".rstrip()
             print(line)
         return EXIT_OK
-    bits = _parse_bitstring(args.input_bits, len(netlist.primary_inputs), "--in")
     result = run(netlist, dict(zip(netlist.primary_inputs, bits)))
     print("outputs " + _bitstring([result.primary_out[w] for w in netlist.primary_outputs]))
     if args.show_garbage:
@@ -90,8 +94,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def _cmd_inverse(args: argparse.Namespace) -> int:
     netlist = _load(args.file)
     terminals = list(netlist.primary_outputs) + garbage_wires(netlist)
-    print("# terminals: " + " ".join(terminals))
     bits = _parse_bitstring(args.output_bits, len(terminals), "--out")
+    print("# terminals: " + " ".join(terminals))
     sources = run_inverse(netlist, dict(zip(terminals, bits)))
     print("# inputs: " + " ".join(netlist.primary_inputs))
     print("inputs " + _bitstring([sources[w] for w in netlist.primary_inputs]))

@@ -27,13 +27,23 @@ memory.
 
 There is one row generator, ``iter_truth_table``, which yields a block's
 rows before computing the next block's columns, so a caller that streams
-the table (``sim --exhaustive``) holds one block, not the table.
-``truth_table`` is that generator drained into a list with the cyclic
-garbage collector paused: the rows are acyclic tuples of ints, so the
-hundreds of collections their allocation would set off could free
-nothing.  The pause covers only the list build, and the collector's
-previous state is restored even if the build raises; overlapping calls
-in threads take turns at the pause.
+the table (``sim --exhaustive``) holds one block, not the table.  Rows
+are built in C, by ``tuple.__new__`` on the row type; when a block has
+more patterns than its outputs have values, equal output tuples in the
+block are one shared object.  ``truth_table`` is that generator drained
+into a list with the cyclic garbage collector paused: the rows are
+acyclic tuples of ints, so the hundreds of collections their allocation
+would set off could free nothing.  If the collector was on, a young
+collection runs after each block that takes the young generation past
+its threshold, as the collector would have, but while the block is
+still in cache: it untracks the block's tuples of ints and moves its
+rows to the next generation, so no scan of the whole table waits for
+the caller's next allocation.  If the caller had turned the collector
+off, nothing is collected.  The pause covers only the list build, and the
+collector's previous state is restored even if the build raises;
+overlapping calls in threads take turns at the pause, and a call made
+from a collector callback inside it finds the collector off and leaves
+it so.
 """
 
 from __future__ import annotations
@@ -168,8 +178,9 @@ def _check_width(netlist: Netlist, limit: int) -> int:
 
 
 # the collector switch is process-wide: one pause at a time, so that overlapping
-# calls in threads each find and restore the state from before any pause
-_GC_PAUSE = threading.Lock()
+# calls in threads each find and restore the state from before any pause; re-entrant,
+# because a collection run in the pause calls gc.callbacks, which may tabulate too
+_GC_PAUSE = threading.RLock()
 _FIRST_BLOCK = 64
 _BLOCK = 1 << 12
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -238,6 +249,27 @@ def _bit_rows(values: list[int], slots: Sequence[int], size: int) -> Iterator[tu
     return zip(*[format(values[slot], form).encode().translate(_TO_BITS)[::-1] for slot in slots])
 
 
+class _Shared(dict):
+    """Maps each key to the first key equal to it, so equal tuples become one object."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
+def _row_blocks(plan: _Plan, width: int) -> Iterator[Iterator[TruthTableRow]]:
+    """Each block's rows, one iterator per block, computed as the blocks are asked for."""
+    inputs = product((0, 1), repeat=width)
+    distinct = 1 << len(plan.po_slots)
+    for size, values in _block_columns(plan, width):
+        outputs = _bit_rows(values, plan.po_slots, size)
+        if distinct < size:  # then outputs must repeat within the block: share one tuple per value
+            outputs = map(_Shared().__getitem__, outputs)
+        garbage = _bit_rows(values, plan.garbage_slots, size)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        yield map(tuple.__new__, repeat(TruthTableRow), zip(islice(inputs, size), outputs, garbage))
+
+
 def iter_truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> Iterator[TruthTableRow]:
     """Yield all 2^k rows (input, primary output, garbage) in ascending input order.
 
@@ -245,35 +277,34 @@ def iter_truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> Iter
     The input count is checked against ``limit`` by this call, before
     any row is asked for.
     """
-    plan = netlist._plan
-    width = _check_width(netlist, limit)
-    inputs = product((0, 1), repeat=width)
-    return chain.from_iterable(
-        map(
-            TruthTableRow,
-            islice(inputs, size),
-            _bit_rows(values, plan.po_slots, size),
-            _bit_rows(values, plan.garbage_slots, size),
-        )
-        for size, values in _block_columns(plan, width)
-    )
+    return chain.from_iterable(_row_blocks(netlist._plan, _check_width(netlist, limit)))
 
 
 def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> list[TruthTableRow]:
     """All 2^k rows of ``iter_truth_table`` as a list.
 
     The cyclic garbage collector is paused while the list is built and
-    then restored to the state it had before the call.
+    then restored to the state it had before the call.  If it was
+    enabled, a young-generation collection runs after each block that
+    takes the young generation past its threshold, so the caller is not
+    left a table-sized young generation to scan; if the caller had
+    disabled it, none runs.
     """
-    rows = iter_truth_table(netlist, limit)
+    blocks = _row_blocks(netlist._plan, _check_width(netlist, limit))
+    rows: list[TruthTableRow] = []
     with _GC_PAUSE:
         enabled = gc.isenabled()
+        due = gc.get_threshold()[0] if enabled else 0  # 0 also when a zero threshold turns collection off
         gc.disable()  # the rows are acyclic, so no collection set off by their allocation could free any
         try:
-            return list(rows)
+            for block in blocks:
+                rows += block
+                if 0 < due < gc.get_count()[0]:
+                    gc.collect(0)  # scans the block while it is in cache and untracks its tuples of ints
         finally:
             if enabled:
                 gc.enable()
+    return rows
 
 
 def check_equivalence(

@@ -124,7 +124,22 @@ def test_sim_single_pattern(tmp_path, capsys):
 def test_sim_bad_bitstring(tmp_path, capsys):
     path = str(tmp_path / "r.net")
     main(["build", "ripple4", "-o", path])
-    assert main(["sim", path, "--in", "0101"]) == 2
+    capsys.readouterr()
+    for bits in ("0101", "01x101010"):
+        assert main(["sim", path, "--in", bits]) == 2
+        captured = capsys.readouterr()
+        assert "--in must be a bitstring" in captured.err
+        assert captured.out == ""  # refused before the header lines
+
+
+def test_inverse_bad_bitstring(tmp_path, capsys):
+    path = str(tmp_path / "r.net")
+    main(["build", "ripple4", "-o", path])
+    capsys.readouterr()
+    assert main(["inverse", path, "--out", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--out must be a bitstring" in captured.err
+    assert captured.out == ""
 
 
 def test_sim_exhaustive_row_count(netfile, capsys):
@@ -175,7 +190,13 @@ def test_sim_closed_pipe_exits_141_quietly(netfile):
 
 def test_sim_max_inputs_refusal(netfile, capsys):
     assert main(["sim", netfile(wide_text(21)), "--exhaustive"]) == 2
-    assert "--max-inputs" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "--max-inputs" in captured.err
+    assert captured.out == ""  # refused before the header lines
+    assert main(["sim", netfile(wide_text(9)), "--exhaustive", "--max-inputs", "8"]) == 2
+    captured = capsys.readouterr()
+    assert "limit of 8" in captured.err
+    assert captured.out == ""
 
 
 def test_inverse_round_trip(tmp_path, capsys):

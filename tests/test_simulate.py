@@ -1,10 +1,13 @@
 """Simulator tests: forward runs, inverse recovery, truth tables, oracle checks."""
 
 import gc
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +19,7 @@ from revlogic import (
     GateInstance,
     Netlist,
     TruthTableLimitError,
+    TruthTableRow,
     bits_to_int,
     build_bcd_adder,
     build_bcd_chain,
@@ -282,6 +286,9 @@ def assert_row_agrees(netlist, row):
 def assert_table_agrees(netlist):
     width = len(netlist.primary_inputs)
     rows = truth_table(netlist)
+    for row in rows:
+        assert type(row) is TruthTableRow
+        assert type(row.inputs) is type(row.outputs) is type(row.garbage) is tuple
     assert [row.inputs for row in rows] == [tuple(int_to_bits(p, width)) for p in range(1 << width)]
     for row in rows:
         assert_row_agrees(netlist, row)
@@ -328,6 +335,65 @@ def test_truth_table_restores_collector_state(enabled, monkeypatch):
         assert gc.isenabled() == enabled
     finally:
         set_collector(was)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_truth_table_collects_each_block_only_when_the_collector_is_on(enabled):
+    n = build_bcd_adder("bcd2")  # blocks of 64, 64, 128 and 256 patterns: each allocates over 100 objects
+    generations = []
+
+    def recorder(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    try:
+        set_collector(enabled)
+        gc.set_threshold(100)
+        gc.collect()  # so that the count of young objects starts from zero
+        gc.callbacks.append(recorder)
+        rows = truth_table(n)
+        assert len(truth_table(single_fg())) == 4  # a dozen objects: no young collection comes due
+        gc.callbacks.remove(recorder)
+        assert gc.isenabled() == enabled
+    finally:
+        if recorder in gc.callbacks:
+            gc.callbacks.remove(recorder)
+        gc.set_threshold(*threshold)
+        set_collector(was)
+    if not enabled:
+        assert generations == []
+        return
+    # each block takes the young generation past 100: one young collection per block,
+    # inside the call, so none is left for the caller
+    assert generations == [0, 0, 0, 0]
+    # they untracked each row's tuples of ints; the rows themselves are TruthTableRow
+    # instances, which stay tracked, because CPython only untracks exact tuples
+    for row in (rows[0], rows[63], rows[64], rows[-1]):
+        assert [gc.is_tracked(field) for field in row] == [False, False, False]
+
+
+NESTED_CALL = """
+import gc
+from revlogic import GateInstance, Netlist, build_bcd_adder, builtin, truth_table
+fg = builtin("FG")
+small = Netlist("one_fg", ("a", "b"), (), (GateInstance(fg, ("a", "b"), ("p", "q")),), ("p", "q"))
+expected = truth_table(small)
+nested = []
+gc.callbacks.append(lambda phase, info: phase == "start" and nested.append(truth_table(small) == expected))
+gc.enable()
+assert len(truth_table(build_bcd_adder("bcd2"))) == 512
+assert gc.isenabled() and nested and all(nested), nested
+"""
+
+
+def test_truth_table_called_from_a_collector_callback():
+    # a collection inside the pause runs gc.callbacks, which may tabulate in turn; in a
+    # child process, so that a deadlock fails this test rather than hanging the rest
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NESTED_CALL], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_truth_table_threads_restore_collector_state():
@@ -420,6 +486,33 @@ def wide_netlist(width=14, n_gates=24, seed=13):
         available.extend(outs)
     outputs = tuple(sorted(available)[::2])
     return Netlist("wide", inputs, constants, tuple(gates), outputs)
+
+
+def ring_netlist(width):
+    """One CNOT per line, each on the next line round a ring: a linear bijection with no garbage."""
+    wires = [f"x{k}" for k in range(width)]
+    gates = []
+    for k in range(width):
+        ins = (wires[k], wires[(k + 1) % width])
+        outs = (f"g{k}c", f"g{k}t")
+        gates.append(GateInstance(FG, ins, outs))
+        wires[k], wires[(k + 1) % width] = outs
+    return Netlist("ring", tuple(f"x{k}" for k in range(width)), (), tuple(gates), tuple(wires))
+
+
+def test_truth_table_outputs_shared_only_where_they_must_repeat():
+    # 2^14 output values outnumber the 4096 patterns of a block, so nothing must repeat: no sharing
+    n = ring_netlist(14)
+    rows = truth_table(n)
+    assert len({row.outputs for row in rows}) == 1 << 14
+    for row in rows:
+        assert type(row) is TruthTableRow and type(row.outputs) is tuple
+        result = run(n, dict(zip(n.primary_inputs, row.inputs)))
+        assert row.outputs == tuple(result.primary_out[w] for w in n.primary_outputs)
+    # bcd2 has 5 outputs: every block of 64 or more patterns holds at most 32 output tuples
+    rows = truth_table(build_bcd_adder("bcd2"))
+    for start, end in ((0, 64), (64, 128), (128, 256), (256, 512)):
+        assert len({id(row.outputs) for row in rows[start:end]}) <= 32
 
 
 def test_sweep_across_block_boundaries():
