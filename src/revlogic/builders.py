@@ -177,7 +177,7 @@ def _emit_bcd_digit(
     _emit_full_adder_chain(nb, corrected, addend, stage2_cin, z, k)
 
 
-def build_bcd_adder(design: str, *, carry_in: str = "primary", wire_prefix: str = "") -> Netlist:
+def build_bcd_adder(design: str, *, carry_in: str = "primary") -> Netlist:
     """One-digit BCD adder: z = (A + B + cin) mod 10, cout = 1 on decimal overflow.
 
     ``design`` is ``"bcd1"`` (10 PFAG + 4 FG + 1 PG) or ``"bcd2"``
@@ -186,29 +186,25 @@ def build_bcd_adder(design: str, *, carry_in: str = "primary", wire_prefix: str 
     ``carry_in="const"`` cin is a constant-0 line and one correction
     zero is fed from the copy gate's spare zero output, keeping the
     constant total at 19.  Outputs are z3..z0, cout either way.
-    ``wire_prefix`` namespaces every wire, for embedding builds side by
-    side.
     """
     if design not in ("bcd1", "bcd2"):
         raise ValueError(f"design must be 'bcd1' or 'bcd2', got {design!r}")
     if carry_in not in ("primary", "const"):
         raise ValueError(f"carry_in must be 'primary' or 'const', got {carry_in!r}")
     nb = _NetBuilder(design)
-    nb.set_prefix(wire_prefix)
-    a = [f"{wire_prefix}a{i}" for i in range(4)]
-    b = [f"{wire_prefix}b{i}" for i in range(4)]
+    a = [f"a{i}" for i in range(4)]
+    b = [f"b{i}" for i in range(4)]
     for wire in reversed(a):
         nb.input(wire)
     for wire in reversed(b):
         nb.input(wire)
     if carry_in == "primary":
-        cin = nb.input(f"{wire_prefix}cin")
+        cin = nb.input("cin")
     else:
-        cin = nb.const(f"{wire_prefix}cin", 0)
-    z = [f"{wire_prefix}z{i}" for i in range(4)]
-    cout = f"{wire_prefix}cout"
-    _emit_bcd_digit(nb, design, a, b, cin, z, cout, reuse_spare_zero=(carry_in == "const"))
-    nb.outputs = [*reversed(z), cout]
+        cin = nb.const("cin", 0)
+    z = [f"z{i}" for i in range(4)]
+    _emit_bcd_digit(nb, design, a, b, cin, z, "cout", reuse_spare_zero=(carry_in == "const"))
+    nb.outputs = [*reversed(z), "cout"]
     return nb.build()
 
 

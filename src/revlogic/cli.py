@@ -42,7 +42,11 @@ class _UsageError(Exception):
 
 
 def _load(path: str) -> Netlist:
-    return parse_netlist(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_netlist(text)
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -162,7 +166,9 @@ def _cmd_check_adder(args: argparse.Namespace) -> int:
     else:
         digits = args.digits if args.digits is not None else (n_inputs - 1) // 8
         if digits < 1 or n_inputs != 8 * digits + 1:
-            raise _UsageError(f"{n_inputs} primary inputs do not match a {digits}-digit chain")
+            # an inferred count is no count the user asked for: name the layout instead
+            layout = f"a {digits}-digit chain" if args.digits is not None else "a chain's 8N+1 layout (N >= 1)"
+            raise _UsageError(f"{n_inputs} primary inputs do not match {layout}")
         oracle, domain = adder_oracle(digits)
     mismatches = check_equivalence(netlist, oracle, domain, limit=args.max_inputs)
     if mismatches:
@@ -259,13 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for diagnostic in exc.diagnostics:
             print(f"parse error: {diagnostic}", file=sys.stderr)
         return EXIT_USAGE
-    except TruthTableLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (TruthTableLimitError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

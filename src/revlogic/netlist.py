@@ -80,13 +80,23 @@ class Netlist:
 
 @dataclass(frozen=True)
 class Violation:
-    """One broken rule, naming the wire and gate index involved."""
+    """One broken rule, naming the wire and gate index involved.
+
+    ``position`` indexes the sequence the wire was read from, so a repeated
+    wire names the occurrence at fault: the gate's ``inputs + outputs``
+    when ``gate_index`` is set; ``primary_inputs + constant_wires`` for a
+    source's ``redefinition`` or ``bad-wire-name``, ``bad-constant`` and
+    ``unused-constant``; ``primary_outputs`` for ``duplicate-output``,
+    ``undefined-output`` and an outputs-line ``fan-out``.
+    ``arity-mismatch`` and ``line-conservation`` have none.
+    """
 
     rule: str
     message: str
     wire: str | None = None
     gate_index: int | None = None
     severity: str = "error"
+    position: int | None = None
 
 
 class InvalidNetlistError(ValueError):
@@ -98,30 +108,30 @@ class InvalidNetlistError(ValueError):
 
 
 def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
-    """Every structural finding, plus the garbage wires when there is no error."""
+    """Every structural finding in reading order, plus the garbage wires when there is no error."""
     violations: list[Violation] = []
 
-    def report(rule, message, wire=None, gate_index=None, severity="error"):
-        violations.append(Violation(rule, message, wire, gate_index, severity))
+    def report(rule, message, wire=None, gate_index=None, position=None, severity="error"):
+        violations.append(Violation(rule, message, wire, gate_index, severity, position))
 
     defined: set[str] = set()
     consumed: set[str] = set()
     order: list[str] = []
 
-    def define(wire, what, gate_index=None):
-        if not IDENT_RE.match(wire):
-            report("bad-wire-name", f"wire {wire!r} is not a valid identifier", wire, gate_index)
-        if wire in defined:
-            report("redefinition", f"wire {wire!r} defined more than once ({what})", wire, gate_index)
-        defined.add(wire)
-        order.append(wire)
+    def define(wires, start, what, gate_index=None):
+        for position, wire in enumerate(wires, start):
+            if not IDENT_RE.match(wire):
+                report("bad-wire-name", f"wire {wire!r} is not a valid identifier", wire, gate_index, position)
+            if wire in defined:
+                report("redefinition", f"wire {wire!r} defined more than once ({what})", wire, gate_index, position)
+            defined.add(wire)
+        order.extend(wires)
 
-    for wire in netlist.primary_inputs:
-        define(wire, "primary input")
-    for wire, bit in netlist.constants:
-        define(wire, "constant")
+    define(netlist.primary_inputs, 0, "primary input")
+    for position, (wire, bit) in enumerate(netlist.constants, len(netlist.primary_inputs)):
+        define((wire,), position, "constant")
         if bit not in (0, 1):
-            report("bad-constant", f"constant {wire!r} must be 0 or 1, got {bit!r}", wire)
+            report("bad-constant", f"constant {wire!r} must be 0 or 1, got {bit!r}", wire, None, position)
 
     for index, inst in enumerate(netlist.gates):
         gate = inst.gate
@@ -132,37 +142,37 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
                 f"{len(inst.inputs)} inputs / {len(inst.outputs)} outputs",
                 gate_index=index,
             )
-        for wire in inst.inputs:
+        for position, wire in enumerate(inst.inputs):
             if wire not in defined:
                 report(
                     "use-before-definition",
                     f"gate {index} ({gate.name}) reads {wire!r} before it is defined",
                     wire,
                     index,
+                    position,
                 )
             elif wire in consumed:
-                report("fan-out", f"wire {wire!r} consumed more than once (gate {index})", wire, index)
+                report("fan-out", f"wire {wire!r} consumed more than once (gate {index})", wire, index, position)
             consumed.add(wire)
-        for wire in inst.outputs:
-            define(wire, f"gate {index} output", index)
+        define(inst.outputs, len(inst.inputs), f"gate {index} output", index)
 
     seen_outputs: set[str] = set()
-    for wire in netlist.primary_outputs:
+    for position, wire in enumerate(netlist.primary_outputs):
         if wire in seen_outputs:
-            report("duplicate-output", f"wire {wire!r} listed as primary output more than once", wire)
+            report("duplicate-output", f"wire {wire!r} listed as primary output more than once", wire, None, position)
             continue
         seen_outputs.add(wire)
         if wire not in defined:
-            report("undefined-output", f"primary output {wire!r} is never defined", wire)
+            report("undefined-output", f"primary output {wire!r} is never defined", wire, None, position)
         elif wire in consumed:
-            report("fan-out", f"wire {wire!r} consumed more than once (primary output)", wire)
+            report("fan-out", f"wire {wire!r} consumed more than once (primary output)", wire, None, position)
         consumed.add(wire)
 
     if any(v.severity == "error" for v in violations):
         return violations, []
-    for wire, _ in netlist.constants:
+    for position, (wire, _) in enumerate(netlist.constants, len(netlist.primary_inputs)):
         if wire not in consumed:
-            report("unused-constant", f"constant {wire!r} is never consumed", wire, severity="warning")
+            report("unused-constant", f"constant {wire!r} is never consumed", wire, None, position, "warning")
     garbage = [wire for wire in order if wire not in consumed]
     # line conservation holds whenever the rules above do; checked, not assumed
     sources = len(netlist.primary_inputs) + len(netlist.constants)

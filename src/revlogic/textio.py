@@ -11,10 +11,13 @@ separated, sections appear in this order):
     end
 
 The parser checks this grammar and the gate names.  The wire rules are
-``netlist.validate``'s, run once on the parsed netlist, and its errors
-are reported at their source positions.  Parsing either returns a
-complete, validated netlist or raises NetlistParseError carrying
-positioned diagnostics; no partial netlist escapes a failed parse.
+``netlist.validate``'s, run once on the parsed netlist.  Each of its
+errors carries its wire's position in the netlist, which the parser
+turns into a line and token from the line numbers it kept; which
+occurrence of a repeated wire is at fault is decided by ``validate``
+alone.  Parsing either returns a complete, validated netlist or raises
+NetlistParseError carrying positioned diagnostics; no partial netlist
+escapes a failed parse.
 Serialization is canonical and deterministic, and parse(serialize(n))
 reproduces n exactly.
 """
@@ -27,6 +30,8 @@ from .gates import DEFAULT_REGISTRY, IDENT_RE, GateLookupError, GateRegistry
 from .netlist import GateInstance, Netlist, Violation, require_valid, validate
 
 _BITS = {"0": 0, "1": 1}
+# the findings whose position indexes the outputs line
+_OUTPUT_RULES = ("duplicate-output", "undefined-output", "fan-out")
 
 
 @dataclass(frozen=True)
@@ -134,49 +139,31 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
         expected = {"circuit": "'circuit NAME'", "inputs": "'inputs'", "body": "'outputs'", "end": "'end'"}
         raise fail(0, 0, "syntax", f"unexpected end of document, expected {expected[state]}")
     netlist = Netlist(name, inputs, constants, gates, outputs)
-    errors = [v for v in validate(netlist) if v.severity == "error"]
-    if not errors and not diagnostics:
+
+    def place(v: Violation) -> tuple[int, int]:
+        """(line, token) of a finding's wire, from its position in the netlist."""
+        p = v.position
+        if v.gate_index is not None:
+            if p is None:
+                return gate_at[v.gate_index], 1  # an arity mismatch sits on the gate name
+            # gate NAME IN... -> OUT...: an output sits one token further, past the '->'
+            return gate_at[v.gate_index], 2 + p + (p >= len(gates[v.gate_index].inputs))
+        if p is None:
+            return 0, 0
+        if v.rule in _OUTPUT_RULES:
+            return outputs_at, 1 + p
+        if p < len(inputs):
+            return inputs_at, 1 + p
+        # const WIRE BIT: a bad constant sits on its bit
+        return const_at[p - len(inputs)], 2 if v.rule == "bad-constant" else 1
+
+    for v in validate(netlist):
+        if v.severity == "error":
+            diagnostics.append(ParseDiagnostic(*place(v), v.rule, v.message))
+    if not diagnostics:
         return netlist
-    lines = dict(_tokenize(text))
-    groups: dict[tuple, list[Violation]] = {}
-    for v in errors:
-        groups.setdefault((v.rule, v.gate_index, v.wire), []).append(v)
-    for group in groups.values():
-        # the k findings for one (rule, place, wire) sit on its last k occurrences there
-        places = _occurrences(group[0], lines, inputs_at, const_at, gate_at, outputs_at)
-        for v, (lineno, token) in zip(group, places[len(places) - len(group) :]):
-            diagnostics.append(ParseDiagnostic(lineno, token, v.rule, v.message))
     diagnostics.sort(key=lambda d: (d.line, d.token))
     raise NetlistParseError(diagnostics)
-
-
-def _occurrences(v: Violation, lines, inputs_at, const_at, gate_at, outputs_at) -> list[tuple[int, int]]:
-    """(line, token) of each occurrence of a finding's wire in its place, in order.
-
-    A rule breaks on a suffix of those: the first occurrence is legal and
-    later ones fan out or redefine, or else every one is bad.  validate
-    reports undefined-output and outputs-line fan-out once per wire, so
-    only the first listing counts for them.
-    """
-    if v.gate_index is not None:
-        lineno = gate_at[v.gate_index]
-        if v.wire is None:
-            return [(lineno, 1)]
-        tokens = lines[lineno]
-        arrow = tokens.index("->")
-        side = range(2, arrow) if v.rule in ("use-before-definition", "fan-out") else range(arrow + 1, len(tokens))
-        return [(lineno, t) for t in side if tokens[t] == v.wire]
-    if v.rule in ("redefinition", "bad-wire-name"):
-        tokens = lines[inputs_at]
-        places = [(inputs_at, t) for t in range(1, len(tokens)) if tokens[t] == v.wire]
-        return places + [(lineno, 1) for lineno in const_at if lines[lineno][1] == v.wire]
-    if v.rule == "bad-constant":
-        return [(lineno, 2) for lineno in const_at if lines[lineno][1] == v.wire and lines[lineno][2] not in _BITS]
-    if v.rule in ("duplicate-output", "undefined-output", "fan-out"):
-        tokens = lines[outputs_at]
-        places = [(outputs_at, t) for t in range(1, len(tokens)) if tokens[t] == v.wire]
-        return places if v.rule == "duplicate-output" else places[:1]
-    return [(0, 0)]
 
 
 def serialize_netlist(netlist: Netlist) -> str:

@@ -118,17 +118,6 @@ def test_bcd_const_carry_mode():
         assert mismatches == []
 
 
-def test_bcd_wire_prefix_namespaces_everything():
-    n = build_bcd_adder("bcd2", wire_prefix="x_")
-    wires = set(n.primary_inputs) | set(n.constant_wires) | set(n.primary_outputs)
-    for inst in n.gates:
-        wires.update(inst.inputs)
-        wires.update(inst.outputs)
-    assert all(w.startswith("x_") for w in wires)
-    assert validate(n) == []
-    assert analyze(n) == analyze(build_bcd_adder("bcd2"))
-
-
 def test_bcd_rejects_bad_options():
     with pytest.raises(ValueError):
         build_bcd_adder("bcd3")

@@ -70,6 +70,15 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "nope.net")]) == 2
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.net"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not UTF-8 text")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["sim"])  # missing required file and mode
@@ -264,6 +273,19 @@ def test_check_adder_digits_only_with_chain(kind, design, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--digits is only valid with --kind bcd-chain" in captured.err
+
+
+def test_check_adder_chain_layout_named_when_digits_inferred(tmp_path, capsys):
+    # 8 primary inputs fit no chain; with no --digits there is no digit count to blame
+    path = str(tmp_path / "b.net")
+    main(["build", "bcd1", "--carry-in", "const", "-o", path])
+    capsys.readouterr()
+    assert main(["check-adder", path, "--kind", "bcd-chain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 8 primary inputs do not match a chain's 8N+1 layout (N >= 1)\n"
+    assert main(["check-adder", path, "--kind", "bcd-chain", "--digits", "1"]) == 2
+    assert "8 primary inputs do not match a 1-digit chain" in capsys.readouterr().err
 
 
 def test_check_adder_bcd_without_carry_in(tmp_path, capsys):

@@ -136,6 +136,101 @@ def test_validate_ignores_constant_ordering():
     assert validate(n1) == [] and validate(n2) == []
 
 
+def named_sequence(n: Netlist, v) -> tuple[str, ...]:
+    """The wire sequence a finding's position indexes."""
+    if v.gate_index is not None:
+        return n.gates[v.gate_index].inputs + n.gates[v.gate_index].outputs
+    if v.rule in ("duplicate-output", "undefined-output", "fan-out"):
+        return n.primary_outputs
+    return n.primary_inputs + n.constant_wires
+
+
+def assert_positions_name_wires(n: Netlist) -> None:
+    for v in validate(n):
+        if v.wire is None:
+            assert v.position is None
+        else:
+            assert named_sequence(n, v)[v.position] == v.wire
+
+
+TG = builtin("TG")
+# one netlist per wire rule, each with its wire repeated where a repeat is the fault
+BROKEN = [
+    Netlist(
+        "fan",
+        ("a", "b", "c"),
+        (),
+        (GateInstance(FG, ("a", "b"), ("p", "q")), GateInstance(FG, ("c", "a"), ("r", "s"))),
+        ("p", "q", "r", "s"),
+    ),
+    Netlist("fan2", ("a",), (), (GateInstance(TG, ("a", "a", "a"), ("p", "q", "r")),), ("p", "q", "r")),
+    Netlist("fan3", ("a", "b"), (), (GateInstance(FG, ("a", "b"), ("p", "q")),), ("p", "q", "a", "a")),
+    Netlist("ubd", ("a",), (), (GateInstance(FG, ("a", "later"), ("p", "q")),), ("p", "q")),
+    Netlist("redef", ("a", "b"), (("k", 0), ("b", 1)), (GateInstance(FG, ("a", "k"), ("p", "p")),), ("p",)),
+    Netlist("names", ("3x",), (("k", 2), ("9k", 0)), (GateInstance(FG, ("3x", "k"), ("p", "1q")),), ("p", "1q", "9k")),
+    Netlist("arity", ("a", "b", "c"), (), (GateInstance(FG, ("a", "b", "c"), ("p", "q", "r")),), ("p", "q", "r")),
+    Netlist("outs", ("a",), (), (), ("a", "ghost", "a", "ghost")),
+]
+
+
+@pytest.mark.parametrize("n", BROKEN, ids=[n.name for n in BROKEN])
+def test_violation_position_names_the_wire(n):
+    assert not is_valid(n)
+    assert_positions_name_wires(n)
+
+
+def test_broken_netlists_cover_every_rule():
+    assert {v.rule for n in BROKEN for v in validate(n)} == {
+        "fan-out",
+        "use-before-definition",
+        "redefinition",
+        "bad-wire-name",
+        "bad-constant",
+        "arity-mismatch",
+        "duplicate-output",
+        "undefined-output",
+    }
+
+
+def test_unused_constant_position():
+    n = Netlist("warn", ("a", "b"), (("k", 0), ("j", 1)), (GateInstance(FG, ("a", "j"), ("p", "q")),), ("p", "q", "b"))
+    [v] = validate(n)
+    assert (v.rule, v.wire, v.position) == ("unused-constant", "k", 2)
+
+
+def findings(n: Netlist):
+    return [(v.rule, v.wire, v.gate_index, v.position) for v in validate(n) if v.severity == "error"]
+
+
+def test_repeated_wire_is_reported_at_its_later_occurrence():
+    n = Netlist("fan", ("a",), (), (GateInstance(FG, ("a", "a"), ("p", "q")),), ("p", "q"))
+    assert findings(n) == [("fan-out", "a", 0, 1)]
+    n = Netlist("twice", ("a", "a"), (), (), ("a",))
+    assert findings(n) == [("redefinition", "a", None, 1)]
+    n = Netlist("const", ("a", "b"), (("a", 0),), (), ("a", "b"))
+    assert findings(n) == [("redefinition", "a", None, 2)]
+    n = Netlist("outs", (), (), (), ("g", "g"))
+    assert findings(n) == [("undefined-output", "g", None, 0), ("duplicate-output", "g", None, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_violation_positions_on_rewired_random_netlists(seed):
+    rng = random.Random(seed)
+    n = random_netlist(rng)
+    if n.gates:
+        # rewire one gate input to another existing wire or a fresh one
+        index = rng.randrange(len(n.gates))
+        inst = n.gates[index]
+        wires = [*n.primary_inputs, *n.constant_wires, *(w for g in n.gates for w in g.outputs), "fresh"]
+        inputs = list(inst.inputs)
+        inputs[rng.randrange(len(inputs))] = rng.choice(wires)
+        gates = list(n.gates)
+        gates[index] = GateInstance(inst.gate, inputs, inst.outputs)
+        n = Netlist(n.name, n.primary_inputs, n.constants, gates, n.primary_outputs)
+    assert_positions_name_wires(n)
+
+
 def test_garbage_wires_basic():
     n = Netlist("g", ("a",), (("k", 0),), (GateInstance(FG, ("a", "k"), ("a1", "a2")),), ("a1",))
     assert garbage_wires(n) == ["a2"]
