@@ -18,8 +18,10 @@ from .gates import (
     LogicCost,
     NonBijectiveError,
     TableShapeError,
+    bits_to_int,
     builtin,
     define_custom_gate,
+    int_to_bits,
 )
 from .metrics import (
     CLAIMED_GARBAGE,
@@ -47,9 +49,7 @@ from .simulate import (
     TraceResult,
     TruthTableLimitError,
     TruthTableRow,
-    bits_to_int,
     check_equivalence,
-    int_to_bits,
     iter_truth_table,
     run,
     run_inverse,

@@ -25,12 +25,9 @@ registry is populated during setup and safe for concurrent reads.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 MAX_CUSTOM_ARITY = 8
 
@@ -79,6 +76,11 @@ class LogicCost:
         return "+".join(terms) if terms else "0"
 
 
+def is_identifier(text: str) -> bool:
+    """The one name rule for gates, wires and circuits: ``[A-Za-z_][A-Za-z0-9_]*``."""
+    return text.isascii() and text.isidentifier()
+
+
 def int_to_bits(value: int, width: int) -> list[int]:
     """Big-endian bit list of the given width."""
     if not 0 <= value < 1 << width:
@@ -111,7 +113,7 @@ class GateDefinition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(self.table))
-        if not IDENT_RE.match(self.name):
+        if not is_identifier(self.name):
             raise ValueError(f"bad gate name {self.name!r}")
         if not 1 <= self.arity <= MAX_CUSTOM_ARITY:
             raise ValueError(f"gate arity must be 1..{MAX_CUSTOM_ARITY}, got {self.arity}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gates import IDENT_RE, GateDefinition
+from .gates import GateDefinition, is_identifier
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class Violation:
     when ``gate_index`` is set; ``primary_inputs + constant_wires`` for a
     source's ``redefinition`` or ``bad-wire-name``, ``bad-constant`` and
     ``unused-constant``; ``primary_outputs`` for ``duplicate-output``,
-    ``undefined-output`` and an outputs-line ``fan-out``.
+    ``undefined-output`` and an outputs-line ``fan-out``; ``bad-circuit-name``,
     ``arity-mismatch`` and ``line-conservation`` have none.
     """
 
@@ -114,18 +114,18 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
     def report(rule, message, wire=None, gate_index=None, position=None, severity="error"):
         violations.append(Violation(rule, message, wire, gate_index, severity, position))
 
-    defined: set[str] = set()
+    if not is_identifier(netlist.name):
+        report("bad-circuit-name", f"circuit name {netlist.name!r} is not a valid identifier")
+    defined: dict[str, None] = {}  # in definition order, the order garbage is listed in
     consumed: set[str] = set()
-    order: list[str] = []
 
     def define(wires, start, what, gate_index=None):
         for position, wire in enumerate(wires, start):
-            if not IDENT_RE.match(wire):
+            if not is_identifier(wire):
                 report("bad-wire-name", f"wire {wire!r} is not a valid identifier", wire, gate_index, position)
             if wire in defined:
                 report("redefinition", f"wire {wire!r} defined more than once ({what})", wire, gate_index, position)
-            defined.add(wire)
-        order.extend(wires)
+            defined[wire] = None
 
     define(netlist.primary_inputs, 0, "primary input")
     for position, (wire, bit) in enumerate(netlist.constants, len(netlist.primary_inputs)):
@@ -173,7 +173,7 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
     for position, (wire, _) in enumerate(netlist.constants, len(netlist.primary_inputs)):
         if wire not in consumed:
             report("unused-constant", f"constant {wire!r} is never consumed", wire, None, position, "warning")
-    garbage = [wire for wire in order if wire not in consumed]
+    garbage = [wire for wire in defined if wire not in consumed]
     # line conservation holds whenever the rules above do; checked, not assumed
     sources = len(netlist.primary_inputs) + len(netlist.constants)
     if sources != len(netlist.primary_outputs) + len(garbage):

@@ -56,7 +56,6 @@ from itertools import chain, islice, product, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .gates import bits_to_int, int_to_bits  # both are re-exported
 from .netlist import Netlist, _Plan
 
 DEFAULT_INPUT_LIMIT = 20

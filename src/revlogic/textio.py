@@ -10,23 +10,24 @@ separated, sections appear in this order):
     outputs WIRE...
     end
 
-The parser checks this grammar and the gate names.  The wire rules are
+The parser checks this grammar and looks up gate names.  The name rule,
+for the circuit and every wire, and the wire rules are
 ``netlist.validate``'s, run once on the parsed netlist.  Each of its
 errors carries its wire's position in the netlist, which the parser
-turns into a line and token from the line numbers it kept; which
-occurrence of a repeated wire is at fault is decided by ``validate``
-alone.  Parsing either returns a complete, validated netlist or raises
-NetlistParseError carrying positioned diagnostics; no partial netlist
-escapes a failed parse.
+turns into a line and token from the line numbers it kept (a bad
+circuit name sits on the name); which occurrence of a repeated wire is
+at fault is decided by ``validate`` alone.  Parsing either returns a
+complete, validated netlist or raises NetlistParseError carrying
+positioned diagnostics; no partial netlist escapes a failed parse.
 Serialization is canonical and deterministic, and parse(serialize(n))
-reproduces n exactly.
+reproduces every valid n exactly, built in code or parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gates import DEFAULT_REGISTRY, IDENT_RE, GateLookupError, GateRegistry
+from .gates import DEFAULT_REGISTRY, GateLookupError, GateRegistry
 from .netlist import GateInstance, Netlist, Violation, require_valid, validate
 
 _BITS = {"0": 0, "1": 1}
@@ -64,10 +65,10 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
     """Parse a netlist document, resolving gate names against a registry.
 
     Raises NetlistParseError with positioned diagnostics for grammar
-    problems, unknown gates and every error ``validate`` finds (arity
-    mismatch, bad wire name, bad constant, redefinition, use before
-    definition, fan-out, duplicate or undefined output).  Warnings do
-    not fail a parse.  The returned netlist's validation is cached.
+    problems, unknown gates and every error ``validate`` finds (bad
+    circuit or wire name, arity mismatch, bad constant, redefinition,
+    use before definition, fan-out, duplicate or undefined output).
+    Warnings do not fail a parse; the returned netlist's check is cached.
     """
     reg = DEFAULT_REGISTRY if registry is None else registry
     diagnostics: list[ParseDiagnostic] = []
@@ -82,7 +83,7 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
     gates: list[GateInstance] = []
     outputs: list[str] = []
     # line numbers, to position validate's findings; the token lists are not kept, to save memory
-    inputs_at = outputs_at = 0
+    circuit_at = inputs_at = outputs_at = 0
     const_at: list[int] = []
     gate_at: list[int] = []  # indexed like the netlist's gates
 
@@ -92,9 +93,7 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
         if state == "circuit":
             if key != "circuit" or len(tokens) != 2:
                 raise fail(lineno, 0, "syntax", "expected 'circuit NAME'")
-            if not IDENT_RE.match(tokens[1]):
-                raise fail(lineno, 1, "syntax", f"bad circuit name {tokens[1]!r}")
-            name = tokens[1]
+            name, circuit_at = tokens[1], lineno
             state = "inputs"
         elif state == "inputs":
             if key != "inputs":
@@ -149,7 +148,7 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
             # gate NAME IN... -> OUT...: an output sits one token further, past the '->'
             return gate_at[v.gate_index], 2 + p + (p >= len(gates[v.gate_index].inputs))
         if p is None:
-            return 0, 0
+            return circuit_at, 1  # a finding about the whole circuit sits on its name
         if v.rule in _OUTPUT_RULES:
             return outputs_at, 1 + p
         if p < len(inputs):

@@ -66,6 +66,12 @@ def test_parse_error_names_rule(netfile, capsys):
     assert "parse error: line 3, token 3: [fan-out]" in capsys.readouterr().err
 
 
+def test_bad_circuit_name_is_a_positioned_parse_error(netfile, capsys):
+    assert main(["validate", netfile("circuit 1c\ninputs a\noutputs a\nend\n")]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: line 1, token 1: [bad-circuit-name] circuit name '1c' is not a valid identifier\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "nope.net")]) == 2
 
@@ -98,6 +104,21 @@ def test_build_and_metrics_json(netfile, tmp_path, capsys):
         "constants": 19,
         "logical": {"xor": 56, "and": 21, "not": 0},
     }
+
+
+def test_metrics_text_bcd2(tmp_path, capsys):
+    path = str(tmp_path / "bcd2.net")
+    main(["build", "bcd2", "-o", path])
+    assert main(["metrics", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "circuit bcd2",
+        "gate_count 14",
+        "gates 10 PFAG + 2 FG + 1 HNFG + 1 PG = 14",
+        "quantum_cost 88",
+        "constants 19",
+        "garbage 23",  # computed by line conservation; the paper claims 24
+        "logical 56α+21β",
+    ]
 
 
 def test_build_to_stdout_parses(capsys):
@@ -254,6 +275,9 @@ def test_check_adder_kind_mismatch(tmp_path, capsys):
     chain = str(tmp_path / "c.net")
     main(["build", "bcd-chain", "2", "-o", chain])
     assert main(["check-adder", chain, "--kind", "ripple4"]) == 2
+    capsys.readouterr()
+    assert main(["check-adder", chain, "--kind", "bcd"]) == 2
+    assert capsys.readouterr().err == "error: bcd netlists have 8 or 9 primary inputs, this one has 17\n"
 
 
 def test_check_adder_chain(tmp_path, capsys):

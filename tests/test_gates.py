@@ -1,8 +1,11 @@
 """Gate library tests: bijectivity, inverses, costs, custom gates."""
 
 import itertools
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revlogic import (
     BUILTIN_GATES,
@@ -17,7 +20,7 @@ from revlogic import (
     builtin,
     define_custom_gate,
 )
-from revlogic.gates import BUILTIN_FUNCTIONS
+from revlogic.gates import BUILTIN_FUNCTIONS, is_identifier
 
 BUILTIN_NAMES = sorted(BUILTIN_GATES)
 
@@ -157,6 +160,22 @@ def test_define_custom_gate_rejects_duplicates():
 def test_custom_gate_arity_bounds():
     with pytest.raises(ValueError):
         GateDefinition("WIDE", 9, tuple(range(512)))
+
+
+# ASCII plus letters and a digit that Python accepts in identifiers but the name rule does not
+NAME_TEXT = st.text() | st.text(st.characters(max_codepoint=127) | st.sampled_from("éªℌ٣"))
+
+
+@given(NAME_TEXT)
+def test_is_identifier_is_the_ascii_name_rule(text):
+    assert is_identifier(text) == bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text))
+
+
+def test_gate_names_follow_the_name_rule():
+    for bad in ("", "1x", "a-b", "my gate", "ℌ"):
+        with pytest.raises(ValueError, match="bad gate name"):
+            GateDefinition(bad, 1, (1, 0))
+    assert GateDefinition("_not1", 1, (1, 0)).name == "_not1"
 
 
 def test_registry_without_builtins():

@@ -1,18 +1,21 @@
 """Text format tests: parsing, diagnostics, canonical serialization, round trips."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revlogic.netlist
 from revlogic import (
     GateInstance,
     GateRegistry,
+    InvalidNetlistError,
     Netlist,
     NetlistParseError,
+    analyze,
     build_bcd_adder,
     build_bcd_chain,
     build_ripple_adder,
@@ -214,6 +217,7 @@ POSITIONED = [
         "circuit c\ninputs a a\ngate FG a ghost -> p q\noutputs p q miss\nend\n",
         [("redefinition", 2, 2), ("use-before-definition", 3, 3), ("undefined-output", 4, 3)],
     ),
+    ("circuit 1c\ninputs a b\ngate FG a a -> p q\noutputs p q\nend\n", [("bad-circuit-name", 1, 1), ("fan-out", 3, 3)]),
 ]
 
 
@@ -224,6 +228,26 @@ def test_wire_rule_diagnostics_positioned(text, expected):
     assert diags == sorted(diags, key=lambda d: (d.line, d.token))
     for d in diags:
         assert f"line {d.line}, token {d.token}: [{d.rule}]" in str(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text() | st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True))
+@example("my adder")
+@example("")
+@example("1x")
+def test_circuit_name_rule_keeps_the_round_trip(name):
+    body = parse_netlist(MINIMAL)
+    n = Netlist(name, body.primary_inputs, body.constants, body.gates, body.primary_outputs)
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        assert validate(n) == []
+        assert parse_netlist(serialize_netlist(n)) == n
+        return
+    (finding,) = validate(n)
+    assert finding.rule == "bad-circuit-name" and finding.severity == "error"
+    assert (finding.wire, finding.gate_index, finding.position) == (None, None, None)
+    for refused in (serialize_netlist, analyze, lambda n: run(n, {"a": 0, "b": 0})):
+        with pytest.raises(InvalidNetlistError):
+            refused(n)
 
 
 def test_parsed_netlist_is_not_checked_again(monkeypatch):
