@@ -6,29 +6,23 @@ of standard output closes it early.
 Any wire-rule violation is a parse error, reported as
 ``parse error: line L, token T: [rule] message``.  Bitstrings index
 wires in declaration order.
+
+A command imports only the layers it runs.  Every command reads or
+writes the text format, so ``gates``, ``netlist`` and ``textio`` load
+at start-up; ``builders``, ``simulate`` and ``metrics`` are imported
+inside the commands that use them, and ``json`` only for ``--json``.
+``validate`` thus loads neither the simulator nor the metrics.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .builders import adder_oracle, build_bcd_adder, build_bcd_chain, build_ripple_adder
-from .metrics import analyze, compare, format_gate_multiset
 from .netlist import Netlist, garbage_wires, validate
-from .simulate import (
-    DEFAULT_COUNTEREXAMPLE_LIMIT,
-    DEFAULT_INPUT_LIMIT,
-    TruthTableLimitError,
-    check_equivalence,
-    iter_truth_table,
-    run,
-    run_inverse,
-)
 from .textio import NetlistParseError, parse_netlist, serialize_netlist
 
 EXIT_OK = 0
@@ -62,6 +56,12 @@ def _parse_bitstring(text: str, width: int, what: str) -> list[int]:
     return [int(ch) for ch in text]
 
 
+def _max_inputs(args: argparse.Namespace) -> int:
+    from .simulate import DEFAULT_INPUT_LIMIT
+
+    return DEFAULT_INPUT_LIMIT if args.max_inputs is None else args.max_inputs
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     for violation in validate(_load(args.file)):
         print(f"{violation.severity}: [{violation.rule}] {violation.message}")
@@ -70,11 +70,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    from .simulate import TruthTableLimitError, iter_truth_table, run
+
     netlist = _load(args.file)
     garbage = garbage_wires(netlist)
     # refuse a wide table or a bad bitstring before the header is printed
     if args.exhaustive:
-        rows = iter_truth_table(netlist, limit=args.max_inputs)
+        try:
+            rows = iter_truth_table(netlist, limit=_max_inputs(args))
+        except TruthTableLimitError as exc:
+            raise _UsageError(str(exc)) from None
     else:
         bits = _parse_bitstring(args.input_bits, len(netlist.primary_inputs), "--in")
     print("# inputs: " + " ".join(netlist.primary_inputs))
@@ -96,6 +101,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
+    from .simulate import run_inverse
+
     netlist = _load(args.file)
     terminals = list(netlist.primary_outputs) + garbage_wires(netlist)
     bits = _parse_bitstring(args.output_bits, len(terminals), "--out")
@@ -112,9 +119,13 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import analyze, format_gate_multiset
+
     netlist = _load(args.file)
     report = analyze(netlist)
     if args.json:
+        import json
+
         print(json.dumps(report.to_dict(), ensure_ascii=False, indent=2))
         return EXIT_OK
     print(f"circuit {netlist.name}")
@@ -128,6 +139,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .builders import build_bcd_adder, build_bcd_chain, build_ripple_adder
+
     if args.design != "bcd-chain" and args.digits is not None:
         raise _UsageError("a digit count is only valid with bcd-chain")
     if args.design not in ("bcd1", "bcd2") and args.carry_in is not None:
@@ -151,6 +164,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_adder(args: argparse.Namespace) -> int:
+    from .builders import adder_oracle
+    from .simulate import DEFAULT_COUNTEREXAMPLE_LIMIT, TruthTableLimitError, check_equivalence
+
     if args.kind != "bcd-chain" and args.digits is not None:
         raise _UsageError("--digits is only valid with --kind bcd-chain")
     netlist = _load(args.file)
@@ -170,7 +186,10 @@ def _cmd_check_adder(args: argparse.Namespace) -> int:
             layout = f"a {digits}-digit chain" if args.digits is not None else "a chain's 8N+1 layout (N >= 1)"
             raise _UsageError(f"{n_inputs} primary inputs do not match {layout}")
         oracle, domain = adder_oracle(digits)
-    mismatches = check_equivalence(netlist, oracle, domain, limit=args.max_inputs)
+    try:
+        mismatches = check_equivalence(netlist, oracle, domain, limit=_max_inputs(args))
+    except TruthTableLimitError as exc:
+        raise _UsageError(str(exc)) from None
     if mismatches:
         for m in mismatches:
             print(
@@ -188,12 +207,16 @@ def _cmd_check_adder(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .metrics import analyze, compare
+
     reports = []
     for path in args.files:
         netlist = _load(path)
         reports.append((netlist.name, analyze(netlist)))
     comparison = compare(reports, include_literature=args.with_literature)
     if args.json:
+        import json
+
         print(json.dumps(comparison.to_json_rows(), ensure_ascii=False, indent=2))
     else:
         print(comparison.render_text())
@@ -214,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--in", dest="input_bits", metavar="BITSTRING")
     group.add_argument("--exhaustive", action="store_true")
     p.add_argument("--show-garbage", action="store_true")
-    p.add_argument("--max-inputs", type=int, default=DEFAULT_INPUT_LIMIT)
+    p.add_argument("--max-inputs", type=int)  # None: simulate.DEFAULT_INPUT_LIMIT
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("inverse", help="inverse simulation from all terminal lines")
@@ -238,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", choices=("ripple4", "bcd", "bcd-chain"), required=True)
     p.add_argument("--digits", type=int)
-    p.add_argument("--max-inputs", type=int, default=DEFAULT_INPUT_LIMIT)
+    p.add_argument("--max-inputs", type=int)  # None: simulate.DEFAULT_INPUT_LIMIT
     p.set_defaults(func=_cmd_check_adder)
 
     p = sub.add_parser("compare", help="metrics comparison table")
@@ -265,7 +288,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for diagnostic in exc.diagnostics:
             print(f"parse error: {diagnostic}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruthTableLimitError, _UsageError, OSError) as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

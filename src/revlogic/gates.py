@@ -76,9 +76,9 @@ class LogicCost:
         return "+".join(terms) if terms else "0"
 
 
-def is_identifier(text: str) -> bool:
-    """The one name rule for gates, wires and circuits: ``[A-Za-z_][A-Za-z0-9_]*``."""
-    return text.isascii() and text.isidentifier()
+def is_identifier(text: object) -> bool:
+    """The one name rule for gates, wires and circuits: a ``str`` matching ``[A-Za-z_][A-Za-z0-9_]*``."""
+    return isinstance(text, str) and text.isascii() and text.isidentifier()
 
 
 def int_to_bits(value: int, width: int) -> list[int]:

@@ -10,8 +10,7 @@ the competing designs' internals are out of scope here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .gates import LogicCost
 from .netlist import Netlist, garbage_wires
@@ -23,8 +22,7 @@ from .netlist import Netlist, garbage_wires
 CLAIMED_GARBAGE: dict[str, int] = {"ripple4": 8, "bcd1": 24, "bcd2": 24}
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Gate multiset plus the four wire-accounting metrics."""
 
     gate_count: int
@@ -72,8 +70,7 @@ def analyze(netlist: Netlist) -> MetricsReport:
     )
 
 
-@dataclass(frozen=True)
-class LiteratureRow:
+class LiteratureRow(NamedTuple):
     """One published comparison row, stored verbatim."""
 
     label: str
@@ -106,8 +103,7 @@ def format_gate_multiset(gates: Mapping[str, int]) -> str:
     return " + ".join(parts) + f" = {sum(gates.values())}"
 
 
-@dataclass(frozen=True)
-class ComputedRow:
+class ComputedRow(NamedTuple):
     """A measured netlist alongside any published garbage claim for it."""
 
     label: str
@@ -119,8 +115,7 @@ class ComputedRow:
         return self.claimed_garbage is not None and self.claimed_garbage != self.report.garbage
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """Computed rows plus, optionally, the published reference rows."""
 
     computed: tuple[ComputedRow, ...]

@@ -21,21 +21,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .gates import GateDefinition, is_identifier
 
 
-@dataclass(frozen=True)
-class GateInstance:
-    """One gate application: ordered input wires and fresh output wires."""
-
+class _GateInstanceFields(NamedTuple):
     gate: GateDefinition
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+
+class GateInstance(_GateInstanceFields):
+    """One gate application: ordered input wires and fresh output wires.
+
+    A named tuple whose wires are stored as tuples, whatever sequences
+    they are given as.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gate: GateDefinition, inputs, outputs) -> GateInstance:
+        return tuple.__new__(cls, (gate, tuple(inputs), tuple(outputs)))
+
+    @classmethod
+    def _make(cls, iterable) -> GateInstance:
+        return cls(*iterable)  # so _replace converts its wires too
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,7 @@ class Netlist:
         return {k: v for k, v in self.__dict__.items() if k not in ("_checked", "_plan")}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken rule, naming the wire and gate index involved.
 
     ``position`` indexes the sequence the wire was read from, so a repeated

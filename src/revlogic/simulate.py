@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import gc
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from operator import attrgetter
@@ -66,8 +65,7 @@ class TruthTableLimitError(ValueError):
     """Exhaustive enumeration refused because the input count exceeds the limit."""
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     """Wire values after one forward run, split by role."""
 
     primary_out: dict[str, int]
@@ -88,8 +86,7 @@ class TruthTableRow(NamedTuple):
     garbage: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     inputs: tuple[int, ...]
     expected: tuple[int, ...]
     actual: tuple[int, ...]

@@ -25,7 +25,7 @@ reproduces every valid n exactly, built in code or parsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gates import DEFAULT_REGISTRY, GateLookupError, GateRegistry
 from .netlist import GateInstance, Netlist, Violation, require_valid, validate
@@ -35,8 +35,7 @@ _BITS = {"0": 0, "1": 1}
 _OUTPUT_RULES = ("duplicate-output", "undefined-output", "fan-out")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """One problem at a (line, token index) position."""
 
     line: int

@@ -383,3 +383,26 @@ def test_compare_json(tmp_path, capsys):
     assert len(rows) == 7
     assert rows[0]["label"] == "bcd1"
     assert rows[0]["garbage_discrepancy"] is True
+
+
+def test_check_adder_refuses_a_table_past_the_limit(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "c3.net")
+    main(["build", "bcd-chain", "3", "-o", path])
+    capsys.readouterr()
+    assert main(["check-adder", path, "--kind", "bcd-chain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 25 primary inputs exceed the exhaustive-enumeration limit of 20; "
+        "raise it via the limit argument (--max-inputs on the command line)\n"
+    )
+    assert main(["check-adder", path, "--kind", "bcd-chain", "--max-inputs", "24"]) == 2
+    assert "limit of 24;" in capsys.readouterr().err
+
+    # only the limit refusal is a usage error: any other ValueError is a fault, and propagates
+    def broken(*args, **kwargs):
+        raise ValueError("not a limit")
+
+    monkeypatch.setattr(revlogic.simulate, "check_equivalence", broken)
+    with pytest.raises(ValueError, match="not a limit"):
+        main(["check-adder", path, "--kind", "bcd-chain"])

@@ -199,3 +199,10 @@ def test_logic_cost_render():
     assert LogicCost(56, 21, 0).render() == "56α+21β"
     assert LogicCost(42, 30, 33).render() == "42α+30β+33δ"
     assert LogicCost().render() == "0"
+
+
+@given(st.none() | st.integers() | st.binary() | st.tuples(st.text()) | st.lists(st.text()))
+def test_names_that_are_not_str_break_the_name_rule(value):
+    assert not is_identifier(value)
+    with pytest.raises(ValueError, match="bad gate name"):
+        GateDefinition(value, 1, (1, 0))

@@ -26,6 +26,7 @@ from revlogic import (
     truth_table,
     validate,
 )
+from revlogic.gates import is_identifier
 from helpers import bcd_digit_domain, bcd_digit_oracle, random_netlist
 
 FG = builtin("FG")
@@ -361,3 +362,39 @@ def test_compiled_form_is_not_observable():
     assert check_equivalence(loaded, bcd_digit_oracle, bcd_digit_domain) == []
     renamed = dataclasses.replace(n, name="other")
     assert renamed != n and renamed.name == "other" and validate(renamed) == []
+
+
+def test_gate_instance_holds_tuples():
+    inst = GateInstance(FG, ["a", "b"], ["c", "d"])
+    assert inst.inputs == ("a", "b") and inst.outputs == ("c", "d")
+    assert type(inst.inputs) is tuple and type(inst.outputs) is tuple
+    assert hash(inst) == hash(GateInstance(FG, ("a", "b"), ("c", "d")))
+    assert {inst, GateInstance(gate=FG, inputs=iter("ab"), outputs="cd")} == {inst}
+    replaced = inst._replace(inputs=["x", "y"])
+    assert replaced.inputs == ("x", "y") and type(replaced.inputs) is tuple
+
+
+# names of every type a netlist built in code might carry; only some strs follow the name rule
+ANY_NAME = (
+    st.none()
+    | st.integers()
+    | st.binary(max_size=2)
+    | st.tuples(st.integers(0, 2), st.text(max_size=1))
+    | st.text(max_size=2)
+    | st.sampled_from(["a", "b", "p", "q", "x"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_NAME, st.lists(ANY_NAME, min_size=2, max_size=3), st.lists(ANY_NAME, min_size=2, max_size=2), st.lists(ANY_NAME, max_size=3))
+def test_names_of_any_type_get_findings(name, inputs, outs, primary_outputs):
+    n = Netlist(name, inputs[:1], [(inputs[1], 0)] + [(w, 1) for w in inputs[2:]], [GateInstance(FG, inputs[:2], outs)], primary_outputs)
+    findings = validate(n)  # a finding for every bad name, never an exception
+    assert ("bad-circuit-name" in rules(findings)) == (not is_identifier(name))
+    sources = [(w, None, p) for p, w in enumerate(inputs)] + [(w, 0, 2 + p) for p, w in enumerate(outs)]
+    bad_names = [(v.wire, v.gate_index, v.position) for v in findings if v.rule == "bad-wire-name"]
+    assert bad_names == [s for s in sources if not is_identifier(s[0])]
+    if bad_names or not is_identifier(name):
+        assert not is_valid(n)
+        with pytest.raises(InvalidNetlistError):
+            serialize_netlist(n)
