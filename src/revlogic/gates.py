@@ -168,21 +168,6 @@ class GateDefinition:
         return bits_to_int(bits)
 
     @classmethod
-    def from_function(
-        cls,
-        name: str,
-        arity: int,
-        fn: Callable[..., Sequence[int]],
-        quantum_cost: int | None = None,
-        logic_cost: LogicCost = LogicCost(),
-    ) -> GateDefinition:
-        """Tabulate an algebraic definition over all 2^arity inputs."""
-        table = tuple(
-            bits_to_int(fn(*int_to_bits(p, arity))) for p in range(1 << arity)
-        )
-        return cls(name, arity, table, quantum_cost, logic_cost)
-
-    @classmethod
     def from_table(
         cls,
         name: str,
@@ -211,63 +196,23 @@ class GateDefinition:
         return cls(name, width, tuple(bits_to_int(row) for row in rows), quantum_cost, logic_cost)
 
 
-def _fg(a, b):
-    return a, a ^ b
-
-
-def _pg(a, b, c):
-    return a, a ^ b, (a & b) ^ c
-
-
-def _tg(a, b, c):
-    return a, b, (a & b) ^ c
-
-
-def _frg(a, b, c):
-    return a, ((1 - a) & b) ^ (a & c), ((1 - a) & c) ^ (a & b)
-
-
-def _pfag(a, b, c, d):
-    s = a ^ b
-    return a, s, s ^ c, (s & c) ^ (a & b) ^ d
-
-
-def _hng(a, b, c, d):
-    s = a ^ b
-    return a, b, s ^ c, (s & c) ^ (a & b) ^ d
-
-
-def _hnfg(a, b, c, d):
-    return a, a ^ b, c, c ^ d
-
-
-BUILTIN_FUNCTIONS: dict[str, Callable[..., tuple[int, ...]]] = {
-    "FG": _fg,
-    "PG": _pg,
-    "TG": _tg,
-    "FRG": _frg,
-    "PFAG": _pfag,
-    "HNG": _hng,
-    "HNFG": _hnfg,
-}
-
-# (arity, quantum cost, logic cost); the logic cost counts the operations
-# in the output expressions above, sharing the A^B subterm between the
-# second and fourth outputs of PFAG/HNG but counting every other
+# name: (arity, function, quantum cost, logic cost).  The logic cost counts
+# the operations in the output expressions, sharing the A^B subterm of the
+# fourth output of PFAG/HNG with an earlier output but counting every other
 # occurrence fresh.
-_BUILTIN_COSTS: dict[str, tuple[int, int | None, LogicCost]] = {
-    "FG": (2, 1, LogicCost(1, 0, 0)),
-    "PG": (3, 4, LogicCost(2, 1, 0)),
-    "TG": (3, 5, LogicCost(1, 1, 0)),
-    "FRG": (3, 5, LogicCost(2, 4, 2)),
-    "PFAG": (4, 8, LogicCost(5, 2, 0)),
-    "HNG": (4, None, LogicCost(4, 2, 0)),
-    "HNFG": (4, 2, LogicCost(2, 0, 0)),
+_BUILTINS: dict[str, tuple[int, Callable[..., tuple[int, ...]], int | None, LogicCost]] = {
+    "FG": (2, lambda a, b: (a, a ^ b), 1, LogicCost(1, 0, 0)),
+    "PG": (3, lambda a, b, c: (a, a ^ b, (a & b) ^ c), 4, LogicCost(2, 1, 0)),
+    "TG": (3, lambda a, b, c: (a, b, (a & b) ^ c), 5, LogicCost(1, 1, 0)),
+    "FRG": (3, lambda a, b, c: (a, ((1 - a) & b) ^ (a & c), ((1 - a) & c) ^ (a & b)), 5, LogicCost(2, 4, 2)),
+    "PFAG": (4, lambda a, b, c, d: (a, a ^ b, a ^ b ^ c, ((a ^ b) & c) ^ (a & b) ^ d), 8, LogicCost(5, 2, 0)),
+    "HNG": (4, lambda a, b, c, d: (a, b, a ^ b ^ c, ((a ^ b) & c) ^ (a & b) ^ d), None, LogicCost(4, 2, 0)),
+    "HNFG": (4, lambda a, b, c, d: (a, a ^ b, c, c ^ d), 2, LogicCost(2, 0, 0)),
 }
 
 BUILTIN_GATES: dict[str, GateDefinition] = {
-    name: GateDefinition.from_function(name, arity, BUILTIN_FUNCTIONS[name], cost, logic)
-    for name, (arity, cost, logic) in _BUILTIN_COSTS.items()
+    name: GateDefinition.from_table(name, (fn(*int_to_bits(p, arity)) for p in range(1 << arity)), cost, logic)
+    for name, (arity, fn, cost, logic) in _BUILTINS.items()
 }
 
 
@@ -280,14 +225,14 @@ def builtin(name: str) -> GateDefinition:
 
 
 class GateRegistry:
-    """Gate-name lookup table; built-ins are pre-registered by default.
+    """Gate-name lookup table; the built-ins are pre-registered.
 
     Registration is a setup-phase operation; reads are safe to share
     across threads once setup is done.
     """
 
-    def __init__(self, include_builtins: bool = True) -> None:
-        self._gates: dict[str, GateDefinition] = dict(BUILTIN_GATES) if include_builtins else {}
+    def __init__(self) -> None:
+        self._gates: dict[str, GateDefinition] = dict(BUILTIN_GATES)
 
     def get(self, name: str) -> GateDefinition:
         try:

@@ -140,7 +140,7 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
     define(netlist.primary_inputs, 0, "primary input")
     for position, (wire, bit) in enumerate(netlist.constants, len(netlist.primary_inputs)):
         define((wire,), position, "constant")
-        if bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):  # True or 1.0 would serialize as text the parser refuses
             report("bad-constant", f"constant {wire!r} must be 0 or 1, got {bit!r}", wire, None, position)
 
     for index, inst in enumerate(netlist.gates):

@@ -1,7 +1,8 @@
 """Line-oriented netlist text format and canonical serialization.
 
-Document grammar (``#`` starts a comment, tokens are whitespace
-separated, sections appear in this order):
+Document grammar (lines end at LF, CR LF or CR only, ``#`` starts a
+comment, tokens are whitespace separated, sections appear in this
+order):
 
     circuit NAME
     inputs WIRE...
@@ -54,7 +55,11 @@ class NetlistParseError(ValueError):
 
 
 def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at the universal newlines \n, \r\n and \r only; str.splitlines
+    # would also end them at \f, \v, \x1c-\x1e, \x85, U+2028 and U+2029
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield lineno, tokens

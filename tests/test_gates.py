@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,7 @@ from revlogic import (
     builtin,
     define_custom_gate,
 )
-from revlogic.gates import BUILTIN_FUNCTIONS, is_identifier
+from revlogic.gates import _BUILTINS, is_identifier
 
 BUILTIN_NAMES = sorted(BUILTIN_GATES)
 
@@ -53,7 +54,7 @@ def test_unknown_builtin_rejected():
 
 def test_tables_match_algebraic_definitions():
     for name, gate in BUILTIN_GATES.items():
-        fn = BUILTIN_FUNCTIONS[name]
+        fn = _BUILTINS[name][1]
         for bits in itertools.product((0, 1), repeat=gate.arity):
             assert gate.apply(list(bits)) == list(fn(*bits)), name
 
@@ -178,13 +179,6 @@ def test_gate_names_follow_the_name_rule():
     assert GateDefinition("_not1", 1, (1, 0)).name == "_not1"
 
 
-def test_registry_without_builtins():
-    registry = GateRegistry(include_builtins=False)
-    assert "FG" not in registry
-    with pytest.raises(GateLookupError):
-        registry.get("FG")
-
-
 def test_logic_cost_algebra():
     a, b, c = LogicCost(1, 2, 3), LogicCost(4, 0, 1), LogicCost(2, 2, 2)
     assert a + b == b + a
@@ -199,6 +193,24 @@ def test_logic_cost_render():
     assert LogicCost(56, 21, 0).render() == "56α+21β"
     assert LogicCost(42, 30, 33).render() == "42α+30β+33δ"
     assert LogicCost().render() == "0"
+
+
+def readme_gate_table():
+    """{gate: (lines, quantum cost, logical)} from the README's gate-library table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text("utf-8").split("## Gate library", 1)[1]
+    rows = [line for line in section.split("\n\n", 2)[1].splitlines() if line.startswith("|")]
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    assert cells[0] == ["gate", "lines", "output expressions", "quantum cost", "logical"]
+    return {name: (lines, cost, logical) for name, lines, _expr, cost, logical in cells[2:]}
+
+
+def test_readme_gate_table_matches_the_builtins():
+    table = readme_gate_table()
+    assert sorted(table) == BUILTIN_NAMES
+    for name, gate in BUILTIN_GATES.items():
+        cost = "unknown" if gate.quantum_cost is None else str(gate.quantum_cost)
+        assert table[name] == (str(gate.arity), cost, gate.logic_cost.render()), name
 
 
 @given(st.none() | st.integers() | st.binary() | st.tuples(st.text()) | st.lists(st.text()))

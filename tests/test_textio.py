@@ -19,6 +19,7 @@ from revlogic import (
     build_bcd_adder,
     build_bcd_chain,
     build_ripple_adder,
+    builtin,
     define_custom_gate,
     garbage_wires,
     is_valid,
@@ -248,6 +249,37 @@ def test_circuit_name_rule_keeps_the_round_trip(name):
     for refused in (serialize_netlist, analyze, lambda n: run(n, {"a": 0, "b": 0})):
         with pytest.raises(InvalidNetlistError):
             refused(n)
+
+
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, "1", 0, 1])
+def test_constant_rule_keeps_the_round_trip(bit):
+    gate = GateInstance(builtin("FG"), ("a", "k"), ("p", "q"))
+    n = Netlist("c", ("a",), (("k", bit),), (gate,), ("p", "q"))
+    if type(bit) is int:
+        assert validate(n) == []
+        assert parse_netlist(serialize_netlist(n)) == n
+        return
+    # True == 1 and 1.0 == 1, but serialized they read 'True' and '1.0', which the parser refuses
+    (finding,) = validate(n)
+    assert finding.rule == "bad-constant" and finding.severity == "error"
+    assert (finding.wire, finding.gate_index, finding.position) == ("k", None, 1)
+    with pytest.raises(InvalidNetlistError):
+        serialize_netlist(n)
+
+
+# characters at which str.splitlines ends a line but the netlist format does not
+NOT_NEWLINES = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES)
+def test_only_universal_newlines_end_a_line(char):
+    text = MINIMAL.replace("inputs a b", f"inputs a b # x{char}y")
+    fanout = text.replace("FG a b", "FG a a")
+    for newline in ("\n", "\r\n", "\r"):
+        # the comment runs to the end of its line, and later lines keep their \n-counted numbers
+        assert parse_netlist(text.replace("\n", newline)) == parse_netlist(MINIMAL)
+        diags = diagnostics_of(fanout.replace("\n", newline))
+        assert [(d.rule, d.line, d.token) for d in diags] == [("fan-out", 3, 3)]
 
 
 def test_parsed_netlist_is_not_checked_again(monkeypatch):
