@@ -81,6 +81,11 @@ def is_identifier(text: object) -> bool:
     return isinstance(text, str) and text.isascii() and text.isidentifier()
 
 
+def is_bit(value: object) -> bool:
+    """The one bit rule for constants, bindings and gate bits: the int 0 or 1, not ``True`` or ``1.0``."""
+    return type(value) is int and 0 <= value <= 1
+
+
 def int_to_bits(value: int, width: int) -> list[int]:
     """Big-endian bit list of the given width."""
     if not 0 <= value < 1 << width:
@@ -118,7 +123,7 @@ class GateDefinition:
         if not 1 <= self.arity <= MAX_CUSTOM_ARITY:
             raise ValueError(f"gate arity must be 1..{MAX_CUSTOM_ARITY}, got {self.arity}")
         size = 1 << self.arity
-        if len(self.table) != size or any(not 0 <= p < size for p in self.table):
+        if len(self.table) != size or any(type(p) is not int or not 0 <= p < size for p in self.table):
             raise TableShapeError(f"{self.name}: table must hold {size} patterns of {self.arity} bits")
         if len(set(self.table)) != size:
             raise NonBijectiveError(f"{self.name}: table is not a permutation")
@@ -163,7 +168,7 @@ class GateDefinition:
     def _pattern(self, bits: Sequence[int]) -> int:
         if len(bits) != self.arity:
             raise GateArityError(f"{self.name} has {self.arity} lines, got {len(bits)} bits")
-        if any(bit not in (0, 1) for bit in bits):
+        if not all(map(is_bit, bits)):
             raise ValueError(f"bits must be 0 or 1, got {list(bits)!r}")
         return bits_to_int(bits)
 
@@ -189,7 +194,7 @@ class GateDefinition:
             raise TableShapeError("rows must be non-empty")
         if any(len(row) != width for row in rows):
             raise TableShapeError("rows must all have the same width")
-        if any(bit not in (0, 1) for row in rows for bit in row):
+        if not all(is_bit(bit) for row in rows for bit in row):
             raise TableShapeError("entries must be 0 or 1")
         if len(rows) != 1 << width:
             raise TableShapeError(f"expected {1 << width} rows for width {width}, got {len(rows)}")

@@ -13,8 +13,9 @@ wire rules keep the circuit reversible end to end:
 Wires that are defined but never consumed and are not primary outputs
 are the garbage outputs.  Netlists are immutable after construction,
 so each one is checked at most once and compiled at most once: the
-first query records its validation findings and garbage list, the first
-simulation builds its evaluation plan, and later calls read them.
+first query records its validation findings, wire order and garbage,
+the first simulation builds its evaluation plan from that order, and
+later calls read them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .gates import GateDefinition, is_identifier
+from .gates import GateDefinition, is_bit, is_identifier
 
 
 class _GateInstanceFields(NamedTuple):
@@ -70,10 +71,10 @@ class Netlist:
         return tuple(wire for wire, _ in self.constants)
 
     @cached_property
-    def _checked(self) -> tuple[tuple[Violation, ...], tuple[str, ...]]:
-        """Validation findings and garbage wires (none when invalid), built on first use."""
-        violations, garbage = _check(self)
-        return tuple(violations), tuple(garbage)
+    def _checked(self) -> tuple[tuple[Violation, ...], tuple[str, ...], tuple[str, ...]]:
+        """Findings, garbage and every wire in definition order (both empty when invalid), built on first use."""
+        violations, garbage, order = _check(self)
+        return tuple(violations), tuple(garbage), tuple(order)
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -82,7 +83,7 @@ class Netlist:
         Raises InvalidNetlistError, on every use, for an invalid netlist.
         """
         require_valid(self)
-        return _Plan(self, self._checked[1])
+        return _Plan(self, *self._checked[1:])
 
     def __getstate__(self) -> dict:
         # the cached forms are derived data: pickles and copies rebuild them
@@ -117,8 +118,12 @@ class InvalidNetlistError(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
-    """Every structural finding in reading order, plus the garbage wires when there is no error."""
+def _check(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
+    """Every finding in reading order; with no error, also the garbage and every wire in definition order.
+
+    Definition order (inputs, constants, then each gate's outputs) is the netlist's
+    one wire numbering: garbage is listed in it, and the plan's slots follow it.
+    """
     violations: list[Violation] = []
 
     def report(rule, message, wire=None, gate_index=None, position=None, severity="error"):
@@ -126,7 +131,7 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
 
     if not is_identifier(netlist.name):
         report("bad-circuit-name", f"circuit name {netlist.name!r} is not a valid identifier")
-    defined: dict[str, None] = {}  # in definition order, the order garbage is listed in
+    defined: dict[str, None] = {}  # in definition order
     consumed: set[str] = set()
 
     def define(wires, start, what, gate_index=None):
@@ -140,7 +145,7 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
     define(netlist.primary_inputs, 0, "primary input")
     for position, (wire, bit) in enumerate(netlist.constants, len(netlist.primary_inputs)):
         define((wire,), position, "constant")
-        if type(bit) is not int or bit not in (0, 1):  # True or 1.0 would serialize as text the parser refuses
+        if not is_bit(bit):  # True or 1.0 would serialize as text the parser refuses
             report("bad-constant", f"constant {wire!r} must be 0 or 1, got {bit!r}", wire, None, position)
 
     for index, inst in enumerate(netlist.gates):
@@ -179,7 +184,7 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
         consumed.add(wire)
 
     if any(v.severity == "error" for v in violations):
-        return violations, []
+        return violations, [], []
     for position, (wire, _) in enumerate(netlist.constants, len(netlist.primary_inputs)):
         if wire not in consumed:
             report("unused-constant", f"constant {wire!r} is never consumed", wire, None, position, "warning")
@@ -191,37 +196,30 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str]]:
             "line-conservation",
             f"{sources} source lines but {len(netlist.primary_outputs)} outputs + {len(garbage)} garbage",
         )
-    return violations, garbage
+    return violations, garbage, list(defined)
 
 
 class _Plan:
     """The one compiled schedule of a valid netlist, read by every engine.
 
-    Wires take slots in definition order, so the primary inputs fill the
-    first slots and the constants the next ones.  Gate ``i`` is
-    ``gates[i]``, reading ``in_slots[i]`` and writing ``out_slots[i]``:
-    the scalar kernel applies its ``table`` forwards and its
-    ``inverse_table`` backwards, the block engine its ``anf``.
+    Each wire's slot is its index in the definition order that validation
+    recorded, so the primary inputs fill the first slots and the constants
+    the next ones.  Gate ``i`` is ``gates[i]``, reading ``in_slots[i]``
+    and writing ``out_slots[i]``: the scalar kernel applies its ``table``
+    forwards and its ``inverse_table`` backwards, the block engine its
+    ``anf``.
     """
 
-    def __init__(self, netlist: Netlist, garbage: tuple[str, ...]) -> None:
-        slots: dict[str, int] = {}
-        for wire in netlist.primary_inputs + netlist.constant_wires:
-            slots[wire] = len(slots)
+    def __init__(self, netlist: Netlist, garbage: tuple[str, ...], order: tuple[str, ...]) -> None:
+        self.slots = slots = dict(zip(order, range(len(order))))
         self.const_bits = tuple(bit for _wire, bit in netlist.constants)
         self.gates = tuple(inst.gate for inst in netlist.gates)
-        self.in_slots: list[tuple[int, ...]] = []
-        self.out_slots: list[tuple[int, ...]] = []
-        for inst in netlist.gates:
-            self.in_slots.append(tuple(slots[w] for w in inst.inputs))
-            for wire in inst.outputs:
-                slots[wire] = len(slots)
-            self.out_slots.append(tuple(slots[w] for w in inst.outputs))
-        self.slots = slots
-        self.po_slots = tuple(slots[w] for w in netlist.primary_outputs)
+        self.in_slots = [tuple(map(slots.__getitem__, inst.inputs)) for inst in netlist.gates]
+        self.out_slots = [tuple(map(slots.__getitem__, inst.outputs)) for inst in netlist.gates]
+        self.po_slots = tuple(map(slots.__getitem__, netlist.primary_outputs))
         self.garbage_wires = garbage
-        self.garbage_slots = tuple(slots[w] for w in garbage)
-        self.terminal_wires = netlist.primary_outputs + self.garbage_wires
+        self.garbage_slots = tuple(map(slots.__getitem__, garbage))
+        self.terminal_wires = netlist.primary_outputs + garbage
 
 
 def validate(netlist: Netlist) -> list[Violation]:

@@ -9,11 +9,15 @@ cached on the immutable netlist object; concurrent first uses may each
 build them, with equal results.
 
 Every engine reads that one plan: each gate's definition with its input
-and output slots.  ``run`` and ``run_inverse`` share one scalar kernel,
-one pattern at a time.  Forwards it applies each gate's ``table`` from
-input to output slots in gate order; backwards, because every gate is a
-bijection, it applies each ``inverse_table`` from output to input slots
-in reverse order and so recovers the source lines.
+and output slots.  A wire's slot is its place in the definition order
+that validation recorded, so the primary inputs fill the first slots and
+the constants the next ones: ``run`` and the block engine write the
+sources there, and ``run_inverse`` reads them back from there.  ``run``
+and ``run_inverse`` share one scalar kernel, one pattern at a time.
+Forwards it applies each gate's ``table`` from input to output slots in
+gate order; backwards, because every gate is a bijection, it applies
+each ``inverse_table`` from output to input slots in reverse order and
+so recovers the source lines.
 
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
@@ -55,6 +59,7 @@ from itertools import chain, islice, product, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .gates import is_bit
 from .netlist import Netlist, _Plan
 
 DEFAULT_INPUT_LIMIT = 20
@@ -120,8 +125,10 @@ def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, 
         if extra:
             parts.append(f"unexpected bindings: {', '.join(extra)}")
         raise ValueError("; ".join(parts))
-    bad = [w for w in wires if assignment[w] not in (0, 1)]
-    if bad:
+    values = assignment.values()
+    # is_bit on each distinct value, not on each wire, once all are ints: True and 1.0 are equal to 1
+    if not (set(map(type, values)) <= {int} and all(map(is_bit, set(values)))):
+        bad = [w for w in wires if not is_bit(assignment[w])]
         raise ValueError(f"bindings must be 0 or 1: {', '.join(bad)}")
 
 

@@ -256,9 +256,9 @@ def test_check_adder_ok(tmp_path, capsys):
 def test_check_adder_catches_mutation(tmp_path, capsys):
     path = str(tmp_path / "r.net")
     main(["build", "ripple4", "-o", path])
-    text = open(path).read().replace("outputs s3 s2 s1 s0 c4", "outputs s3 s2 s0 s1 c4")
+    text = Path(path).read_text().replace("outputs s3 s2 s1 s0 c4", "outputs s3 s2 s0 s1 c4")
     mutated = str(tmp_path / "bad.net")
-    open(mutated, "w").write(text)
+    Path(mutated).write_text(text)
     capsys.readouterr()
     assert main(["check-adder", mutated, "--kind", "ripple4"]) == 1
     out = capsys.readouterr().out

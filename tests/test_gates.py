@@ -21,7 +21,7 @@ from revlogic import (
     builtin,
     define_custom_gate,
 )
-from revlogic.gates import _BUILTINS, is_identifier
+from revlogic.gates import _BUILTINS, is_bit, is_identifier
 
 BUILTIN_NAMES = sorted(BUILTIN_GATES)
 
@@ -131,6 +131,28 @@ def test_from_table_shape_errors():
         GateDefinition.from_table("T", [[0, 0], [0], [1, 0], [1, 1]])
     with pytest.raises(TableShapeError, match="0 or 1"):
         GateDefinition.from_table("T", [[0, 2], [0, 1], [1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0])
+def test_gate_bits_that_are_not_ints_are_refused(value):
+    assert not is_bit(value)
+    fg = builtin("FG")
+    for call in (fg.apply, fg.invert):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            call([1, value])
+    with pytest.raises(TableShapeError, match="entries must be 0 or 1"):
+        GateDefinition.from_table("T", [[0, 0], [0, 1], [1, 0], [1, value]])
+    with pytest.raises(TableShapeError, match="^T: table must hold 2 patterns of 1 bits$"):
+        GateDefinition("T", 1, (value, 1 - value))
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_int_gate_bits_are_accepted(value):
+    assert is_bit(value)
+    fg = builtin("FG")
+    assert fg.apply([1, value]) == fg.invert([1, value]) == [1, 1 - value]
+    assert GateDefinition.from_table("T", [[0, 0], [0, 1], [1, 1 - value], [1, value]]).table == (0, 1, 3 - value, 2 + value)
+    assert GateDefinition("T", 1, (value, 1 - value)).table == (value, 1 - value)
 
 
 def test_define_custom_gate_swap():

@@ -253,6 +253,16 @@ def test_garbage_conservation_property(seed):
     assert set(garbage).isdisjoint(n.primary_outputs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_plan_numbers_wires_in_definition_order(seed):
+    n = random_netlist(random.Random(seed))
+    order = [*n.primary_inputs, *n.constant_wires, *(w for inst in n.gates for w in inst.outputs)]
+    assert list(n._plan.slots.items()) == [(wire, slot) for slot, wire in enumerate(order)]
+    consumed = {w for inst in n.gates for w in inst.inputs}.union(n.primary_outputs)
+    assert garbage_wires(n) == [w for w in order if w not in consumed]
+
+
 def free_sources(n: Netlist) -> Netlist:
     """Rebuild with constants promoted to primary inputs (all lines free)."""
     return Netlist(

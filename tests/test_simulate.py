@@ -99,6 +99,29 @@ def test_run_checks_bindings():
         run(n, {"a": 1, "b": 2})
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0])
+def test_bindings_that_are_not_int_bits_are_refused(value):
+    n = build_ripple_adder()
+    inputs = dict.fromkeys(n.primary_inputs, 0)
+    terminals = run(n, inputs).terminals
+    last = next(reversed(terminals))
+    with pytest.raises(ValueError, match="^bindings must be 0 or 1: cin$"):
+        run(n, dict(inputs, cin=value))
+    with pytest.raises(ValueError, match=f"^bindings must be 0 or 1: {last}$"):
+        run_inverse(n, dict(terminals, **{last: value}))
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_int_bindings_are_run_and_echoed_as_ints(value):
+    n = build_ripple_adder()
+    result = run(n, dict(dict.fromkeys(n.primary_inputs, 0), cin=value))
+    assert result.all_lines["cin"] == value
+    assert {type(bit) for bit in result.all_lines.values()} == {int}
+    last = next(reversed(result.terminals))
+    sources = run_inverse(n, dict(result.terminals, **{last: value}))
+    assert {type(bit) for bit in sources.values()} == {int}
+
+
 def test_trace_result_partitions_lines():
     n = Netlist("g", ("a",), (("k", 0),), (GateInstance(FG, ("a", "k"), ("a1", "a2")),), ("a1",))
     result = run(n, {"a": 1})
