@@ -60,6 +60,7 @@ _EXPORTS = {
     "simulate": (
         "Counterexample",
         "TraceResult",
+        "TruthTable",
         "TruthTableLimitError",
         "TruthTableRow",
         "check_equivalence",

@@ -54,14 +54,14 @@ class DuplicateGateError(ValueError):
 
 @dataclass(frozen=True)
 class LogicCost:
-    """XOR/AND/NOT operation counts; vectors add componentwise."""
+    """XOR/AND/NOT operation counts, each a non-negative int; vectors add componentwise."""
 
     xors: int = 0
     ands: int = 0
     nots: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.xors, self.ands, self.nots) < 0:
+        if not all(type(n) is int and n >= 0 for n in (self.xors, self.ands, self.nots)):
             raise ValueError("logic cost components must be non-negative")
 
     def __add__(self, other: LogicCost) -> LogicCost:
@@ -120,14 +120,14 @@ class GateDefinition:
         object.__setattr__(self, "table", tuple(self.table))
         if not is_identifier(self.name):
             raise ValueError(f"bad gate name {self.name!r}")
-        if not 1 <= self.arity <= MAX_CUSTOM_ARITY:
+        if type(self.arity) is not int or not 1 <= self.arity <= MAX_CUSTOM_ARITY:
             raise ValueError(f"gate arity must be 1..{MAX_CUSTOM_ARITY}, got {self.arity}")
         size = 1 << self.arity
         if len(self.table) != size or any(type(p) is not int or not 0 <= p < size for p in self.table):
             raise TableShapeError(f"{self.name}: table must hold {size} patterns of {self.arity} bits")
         if len(set(self.table)) != size:
             raise NonBijectiveError(f"{self.name}: table is not a permutation")
-        if self.quantum_cost is not None and self.quantum_cost < 0:
+        if self.quantum_cost is not None and (type(self.quantum_cost) is not int or self.quantum_cost < 0):
             raise ValueError("quantum cost must be non-negative or None")
 
     @cached_property

@@ -29,35 +29,28 @@ pattern; rows come back out through C-level string transposition.  The
 small first blocks keep a fail-fast check cheap, and the cap bounds
 memory.
 
-There is one row generator, ``iter_truth_table``, which yields a block's
-rows before computing the next block's columns, so a caller that streams
-the table (``sim --exhaustive``) holds one block, not the table.  Rows
-are built in C, by ``tuple.__new__`` on the row type; when a block has
-more patterns than its outputs have values, equal output tuples in the
-block are one shared object.  ``truth_table`` is that generator drained
-into a list with the cyclic garbage collector paused: the rows are
-acyclic tuples of ints, so the hundreds of collections their allocation
-would set off could free nothing.  If the collector was on, a young
-collection runs after each block that takes the young generation past
-its threshold, as the collector would have, but while the block is
-still in cache: it untracks the block's tuples of ints and moves its
-rows to the next generation, so no scan of the whole table waits for
-the caller's next allocation.  If the caller had turned the collector
-off, nothing is collected.  The pause covers only the list build, and the
-collector's previous state is restored even if the build raises;
-overlapping calls in threads take turns at the pause, and a call made
-from a collector callback inside it finds the collector off and leaves
-it so.
+``truth_table`` runs the block engine over every block in the call and
+keeps only the primary-output and garbage columns: (outputs + garbage)
+x 2^k bits, about 1 MB for the 2^17 patterns of bcd-chain 2.  It returns
+them as a ``TruthTable``, a read-only ``Sequence`` whose rows are built
+when they are read; a row's inputs follow from its index.  Iteration,
+the one row path (``iter_truth_table`` is ``iter(truth_table(...))``),
+builds one block's rows at a time in C, by ``tuple.__new__`` on the row
+type, so a caller that streams the table (``sim --exhaustive``) holds
+the columns, not the rows.  When a block has more patterns than its
+outputs have values, equal output tuples in the block are one shared
+object.  The table holds no rows, so the cyclic garbage collector has
+nothing of it to scan.
 """
 
 from __future__ import annotations
 
-import gc
-import threading
+from bisect import bisect_right
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import attrgetter, eq, index
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .gates import is_bit
 from .netlist import Netlist, _Plan
@@ -180,10 +173,6 @@ def _check_width(netlist: Netlist, limit: int) -> int:
     return width
 
 
-# the collector switch is process-wide: one pause at a time, so that overlapping
-# calls in threads each find and restore the state from before any pause; re-entrant,
-# because a collection run in the pause calls gc.callbacks, which may tabulate too
-_GC_PAUSE = threading.RLock()
 _FIRST_BLOCK = 64
 _BLOCK = 1 << 12
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -244,7 +233,7 @@ def _block_columns(plan: _Plan, width: int) -> Iterator[tuple[int, list[int]]]:
         yield size, values
 
 
-def _bit_rows(values: list[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+def _bit_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
     """Per-pattern tuples of the bits in ``slots``, in pattern order."""
     if not slots:
         return repeat((), size)
@@ -260,54 +249,117 @@ class _Shared(dict):
         return key
 
 
-def _row_blocks(plan: _Plan, width: int) -> Iterator[Iterator[TruthTableRow]]:
-    """Each block's rows, one iterator per block, computed as the blocks are asked for."""
-    inputs = product((0, 1), repeat=width)
-    distinct = 1 << len(plan.po_slots)
-    for size, values in _block_columns(plan, width):
-        outputs = _bit_rows(values, plan.po_slots, size)
-        if distinct < size:  # then outputs must repeat within the block: share one tuple per value
-            outputs = map(_Shared().__getitem__, outputs)
-        garbage = _bit_rows(values, plan.garbage_slots, size)
-        # tuple.__new__ skips the named tuple's Python-level __new__
-        yield map(tuple.__new__, repeat(TruthTableRow), zip(islice(inputs, size), outputs, garbage))
+class TruthTable(Sequence):
+    """All 2^k rows of a netlist, kept as bit columns and built into rows when read.
+
+    Each block of patterns keeps one int per primary output and per
+    garbage wire, bit j holding the wire's value on the block's j-th
+    pattern; a row's inputs follow from its index.  Iterating builds one
+    block's rows at a time, in C, and equal output tuples in a block are
+    one object where they must repeat.  An int index reads one row from
+    the columns; a slice gives a list of rows.  The table equals another
+    table or a list holding equal rows, and, like a list, is unhashable.
+    Tables are built by ``truth_table``.
+    """
+
+    __slots__ = ("_width", "_outputs", "_columns", "_starts")
+
+    def __init__(self, width: int, outputs: int, columns: Sequence[tuple[int, ...]]) -> None:
+        """``columns`` holds, per block of ``_blocks(width)``, the output columns then the garbage ones."""
+        set_field = object.__setattr__
+        set_field(self, "_width", width)
+        set_field(self, "_outputs", outputs)
+        set_field(self, "_columns", tuple(columns))
+        set_field(self, "_starts", tuple(start for start, _size in _blocks(width)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return TruthTable, (self._width, self._outputs, self._columns)
+
+    def __len__(self) -> int:
+        return 1 << self._width
+
+    def __iter__(self) -> Iterator[TruthTableRow]:
+        return chain.from_iterable(self._block_rows(0))
+
+    def _block_rows(self, first: int) -> Iterator[Iterator[TruthTableRow]]:
+        """The rows of each block from block ``first`` on, one iterator per block."""
+        width, count = self._width, self._outputs
+        starts = self._starts[first:] + (len(self),)
+        inputs = islice(product((0, 1), repeat=width), starts[0], None)
+        outputs_at = range(count)
+        garbage_at = range(count, len(self._columns[0]))
+        for start, end, columns in zip(starts, starts[1:], self._columns[first:]):
+            size = end - start
+            outputs = _bit_rows(columns, outputs_at, size)
+            if 1 << count < size:  # then outputs must repeat within the block: share one tuple per value
+                outputs = map(_Shared().__getitem__, outputs)
+            garbage = _bit_rows(columns, garbage_at, size)
+            # tuple.__new__ skips the named tuple's Python-level __new__
+            yield map(tuple.__new__, repeat(TruthTableRow), zip(islice(inputs, size), outputs, garbage))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            picked = range(len(self))[key]
+            if not picked:
+                return []
+            low, high = sorted((picked[0], picked[-1]))
+            first = bisect_right(self._starts, low) - 1
+            skip = low - self._starts[first]
+            rows = list(islice(chain.from_iterable(self._block_rows(first)), skip, skip + high + 1 - low))
+            rows = rows[:: abs(picked.step)]
+            return rows if picked.step > 0 else rows[::-1]
+        position = index(key)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("truth table index out of range")
+        block = bisect_right(self._starts, position) - 1
+        shift = position - self._starts[block]
+        bits = tuple(column >> shift & 1 for column in self._columns[block])
+        inputs = tuple(position >> bit & 1 for bit in reversed(range(self._width)))
+        return TruthTableRow(inputs, bits[: self._outputs], bits[self._outputs :])
+
+    def __eq__(self, other):
+        if isinstance(other, TruthTable):
+            return (self._width, self._outputs, self._columns) == (other._width, other._outputs, other._columns)
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+
+def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> TruthTable:
+    """All 2^k rows (input, primary output, garbage) in ascending input order.
+
+    The input count is checked against ``limit`` first.  The call then
+    runs the block engine over every pattern and keeps only the columns
+    of the primary outputs and the garbage: (outputs + garbage) x 2^k
+    bits, about 1 MB for the 2^17 patterns of bcd-chain 2.  The rows are
+    built when they are read, so a caller that streams the table holds
+    the columns, not the rows.  The result is a ``Sequence``, not a
+    list; ``list(truth_table(n))`` gives a list.
+    """
+    plan = netlist._plan
+    width = _check_width(netlist, limit)
+    kept = plan.po_slots + plan.garbage_slots
+    columns = [tuple([values[slot] for slot in kept]) for _size, values in _block_columns(plan, width)]
+    return TruthTable(width, len(plan.po_slots), columns)
 
 
 def iter_truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> Iterator[TruthTableRow]:
-    """Yield all 2^k rows (input, primary output, garbage) in ascending input order.
+    """``iter(truth_table(netlist, limit))``: the rows, built one block at a time as they are read.
 
-    Rows are computed one block at a time, as the iterator is consumed.
-    The input count is checked against ``limit`` by this call, before
-    any row is asked for.
+    The input count is checked against ``limit``, and the columns are
+    computed, by this call, before any row is asked for.
     """
-    return chain.from_iterable(_row_blocks(netlist._plan, _check_width(netlist, limit)))
-
-
-def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> list[TruthTableRow]:
-    """All 2^k rows of ``iter_truth_table`` as a list.
-
-    The cyclic garbage collector is paused while the list is built and
-    then restored to the state it had before the call.  If it was
-    enabled, a young-generation collection runs after each block that
-    takes the young generation past its threshold, so the caller is not
-    left a table-sized young generation to scan; if the caller had
-    disabled it, none runs.
-    """
-    blocks = _row_blocks(netlist._plan, _check_width(netlist, limit))
-    rows: list[TruthTableRow] = []
-    with _GC_PAUSE:
-        enabled = gc.isenabled()
-        due = gc.get_threshold()[0] if enabled else 0  # 0 also when a zero threshold turns collection off
-        gc.disable()  # the rows are acyclic, so no collection set off by their allocation could free any
-        try:
-            for block in blocks:
-                rows += block
-                if 0 < due < gc.get_count()[0]:
-                    gc.collect(0)  # scans the block while it is in cache and untracks its tuples of ints
-        finally:
-            if enabled:
-                gc.enable()
-    return rows
+    return iter(truth_table(netlist, limit))
 
 
 def check_equivalence(

@@ -185,6 +185,23 @@ def test_custom_gate_arity_bounds():
         GateDefinition("WIDE", 9, tuple(range(512)))
 
 
+def test_gate_counts_are_ints():
+    # one int rule, as in is_bit: True and 1.0 are not ints here, though they equal 1
+    for arity in (True, 1.0, 0, 9):
+        with pytest.raises(ValueError, match="gate arity must be"):
+            GateDefinition("X", arity, (1, 0))
+    for cost in (1.5, True, 1.0, -1):
+        with pytest.raises(ValueError, match="quantum cost must be"):
+            GateDefinition("X", 1, (1, 0), quantum_cost=cost)
+        with pytest.raises(ValueError, match="quantum cost must be"):
+            GateDefinition.from_table("X", [[1], [0]], quantum_cost=cost)
+    for parts in ((1.5, 0, 0), (0, True, 0), (0, 0, 1.0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="logic cost components must be"):
+            LogicCost(*parts)
+    gate = GateDefinition("X", 1, (1, 0), quantum_cost=0, logic_cost=LogicCost(0, 0, 1))
+    assert (gate.arity, gate.quantum_cost, gate.logic_cost.render()) == (1, 0, "1δ")
+
+
 # ASCII plus letters and a digit that Python accepts in identifiers but the name rule does not
 NAME_TEXT = st.text() | st.text(st.characters(max_codepoint=127) | st.sampled_from("éªℌ٣"))
 

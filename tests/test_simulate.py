@@ -2,11 +2,14 @@
 
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from revlogic import (
     GateDefinition,
     GateInstance,
     Netlist,
+    TruthTable,
     TruthTableLimitError,
     TruthTableRow,
     bits_to_int,
@@ -337,63 +341,48 @@ def set_collector(enabled):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_truth_table_restores_collector_state(enabled, monkeypatch):
     n = build_bcd_adder("bcd2")  # 9 inputs: blocks of 64, 64, 128 and 256 patterns
-    was = gc.isenabled()
-    try:
-        set_collector(enabled)
-        assert len(truth_table(n)) == 512
-        assert gc.isenabled() == enabled
-
-        real, calls = simulate._bit_rows, []
-
-        def fail_after_first_block(values, slots, size):
-            calls.append(size)
-            if len(calls) > 2:  # one call for the outputs and one for the garbage per block
-                raise RuntimeError("row building failed")
-            return real(values, slots, size)
-
-        monkeypatch.setattr(simulate, "_bit_rows", fail_after_first_block)
-        with pytest.raises(RuntimeError, match="row building failed"):
-            truth_table(n)
-        assert calls == [64, 64, 64]
-        assert gc.isenabled() == enabled
-    finally:
-        set_collector(was)
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_truth_table_collects_each_block_only_when_the_collector_is_on(enabled):
-    n = build_bcd_adder("bcd2")  # blocks of 64, 64, 128 and 256 patterns: each allocates over 100 objects
-    generations = []
-
-    def recorder(phase, info):
-        if phase == "start":
-            generations.append(info["generation"])
-
     was, threshold = gc.isenabled(), gc.get_threshold()
     try:
         set_collector(enabled)
-        gc.set_threshold(100)
-        gc.collect()  # so that the count of young objects starts from zero
-        gc.callbacks.append(recorder)
-        rows = truth_table(n)
-        assert len(truth_table(single_fg())) == 4  # a dozen objects: no young collection comes due
-        gc.callbacks.remove(recorder)
+
+        def untouched(*args):
+            raise AssertionError("the collector was switched or run by hand")
+
+        # the call and the rows read from it leave the collector as it was
+        with monkeypatch.context() as patched:
+            for name in ("disable", "enable", "collect"):
+                patched.setattr(gc, name, untouched)
+            assert len(list(truth_table(n))) == 512
+        assert gc.isenabled() == enabled and gc.get_threshold() == threshold
+
+        real, calls = simulate._low_columns, []
+
+        def fail_in_third_block(size):
+            calls.append(size)
+            if len(calls) > 2:
+                raise RuntimeError("column building failed")
+            return real(size)
+
+        monkeypatch.setattr(simulate, "_low_columns", fail_in_third_block)
+        with pytest.raises(RuntimeError, match="column building failed"):
+            truth_table(n)  # the engine runs in the call, so its errors come from the call
+        assert calls == [64, 64, 128]
         assert gc.isenabled() == enabled
     finally:
-        if recorder in gc.callbacks:
-            gc.callbacks.remove(recorder)
-        gc.set_threshold(*threshold)
         set_collector(was)
-    if not enabled:
-        assert generations == []
-        return
-    # each block takes the young generation past 100: one young collection per block,
-    # inside the call, so none is left for the caller
-    assert generations == [0, 0, 0, 0]
-    # they untracked each row's tuples of ints; the rows themselves are TruthTableRow
-    # instances, which stay tracked, because CPython only untracks exact tuples
-    for row in (rows[0], rows[63], rows[64], rows[-1]):
-        assert [gc.is_tracked(field) for field in row] == [False, False, False]
+
+
+def test_truth_table_holds_columns_not_rows():
+    n = build_bcd_chain(2)  # 17 inputs, 9 outputs and 46 garbage wires
+    tracemalloc.start()
+    try:
+        table = truth_table(n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1 << 17
+    # 55 columns of 2^17 bits are under 1 MB; the 131072 rows as a list took about 90 MB
+    assert held < 4 << 20
 
 
 NESTED_CALL = """
@@ -405,14 +394,15 @@ expected = truth_table(small)
 nested = []
 gc.callbacks.append(lambda phase, info: phase == "start" and nested.append(truth_table(small) == expected))
 gc.enable()
-assert len(truth_table(build_bcd_adder("bcd2"))) == 512
+rows = list(truth_table(build_bcd_adder("bcd2")))  # over a thousand tracked objects: collections run
+assert len(rows) == 512
 assert gc.isenabled() and nested and all(nested), nested
 """
 
 
 def test_truth_table_called_from_a_collector_callback():
-    # a collection inside the pause runs gc.callbacks, which may tabulate in turn; in a
-    # child process, so that a deadlock fails this test rather than hanging the rest
+    # a collection while rows are built runs gc.callbacks, which may tabulate in turn; in a
+    # child process, so that a hang fails this test rather than hanging the rest
     src = str(Path(simulate.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", NESTED_CALL], env=env, capture_output=True, text=True, timeout=60)
@@ -421,7 +411,7 @@ def test_truth_table_called_from_a_collector_callback():
 
 def test_truth_table_threads_restore_collector_state():
     # many short calls in more threads than cores, switching as often as the
-    # interpreter allows: unserialised pauses leave the collector off
+    # interpreter allows: every table equals the one built alone, and the collector stays on
     n = single_fg()
     expected = truth_table(n)
     interval, was = sys.getswitchinterval(), gc.isenabled()
@@ -450,7 +440,9 @@ def test_truth_table_threads_restore_collector_state():
 
 def test_truth_table_without_primary_inputs():
     n = Netlist("k", (), (("k0", 1), ("k1", 0)), (GateInstance(FG, ("k0", "k1"), ("p", "q")),), ("p",))
-    assert assert_table_agrees(n) == [((), (1,), (1,))]
+    table = assert_table_agrees(n)
+    assert table == [((), (1,), (1,))]
+    assert len(table) == 1 and table[0] == table[-1] == ((), (1,), (1,))
     assert check_equivalence(n, lambda bits: (1,)) == []
     assert check_equivalence(n, lambda bits: (0,)) == [Counterexample((), (0,), (1,))]
 
@@ -548,6 +540,72 @@ def test_sweep_across_block_boundaries():
     for index in sorted(edges | set(random.Random(1).sample(range(1 << width), 300))):
         assert rows[index].inputs == tuple(int_to_bits(index, width))
         assert_row_agrees(n, rows[index])
+
+
+def test_truth_table_is_a_sequence_of_rows():
+    n = wide_netlist()  # 14 inputs: blocks of 64, 64, 128, ... 4096 patterns
+    table = truth_table(n)
+    rows = list(table)
+    assert isinstance(table, TruthTable) and isinstance(table, Sequence) and not isinstance(table, list)
+    assert len(table) == len(rows) == 1 << 14
+    for index in (0, 1, 63, 64, 4095, 4096, 12345, len(rows) - 1, -1, -64, -4097, -len(rows)):
+        assert table[index] == rows[index]
+        assert type(table[index]) is TruthTableRow
+    for index in (len(rows), -len(rows) - 1, 1 << 40):
+        with pytest.raises(IndexError):
+            table[index]
+    with pytest.raises(TypeError):
+        table["0"]
+    slices = (
+        slice(None),
+        slice(60, 70),
+        slice(4000, 8200, 3),
+        slice(5, None, 4096),
+        slice(None, None, -1),
+        slice(9000, 10, -7),
+        slice(-3, None),
+        slice(5, 5),
+        slice(70, 60),
+        slice(1 << 20, None),
+    )
+    for key in slices:
+        part = table[key]
+        assert type(part) is list and part == rows[key], key
+    with pytest.raises(ValueError):
+        table[::0]
+    with pytest.raises(AttributeError):
+        table._width = 3
+
+
+def test_truth_table_equality():
+    table = truth_table(build_bcd_adder("bcd2"))
+    rows = list(table)
+    assert table == rows and rows == table and not table != rows and not rows != table
+    assert table != tuple(rows) and tuple(rows) != table
+    assert table != rows[:-1] and table != rows[:-1] + rows[:1]
+    assert table == truth_table(build_bcd_adder("bcd2")) == table[:]
+    with pytest.raises(TypeError):
+        hash(table)
+    # TG and PG agree on their first and third lines and differ on the second, here garbage;
+    # seven pass-through lines spread the patterns over several blocks
+    through = tuple(f"x{k}" for k in range(7))
+
+    def one_gate(name):
+        gate = GateInstance(builtin(name), ("a", "b", "c"), ("p", "q", "r"))
+        return Netlist("m", ("a", "b", "c") + through, (), (gate,), ("p", "r") + through)
+
+    tg, pg = truth_table(one_gate("TG")), truth_table(one_gate("PG"))
+    assert [row.outputs for row in tg] == [row.outputs for row in pg]
+    assert tg != pg and tg != list(pg) and list(tg) != pg
+    assert tg == truth_table(one_gate("TG"))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_truth_table_pickles(protocol):
+    table = truth_table(wide_netlist())
+    copy = pickle.loads(pickle.dumps(table, protocol))
+    assert type(copy) is TruthTable and copy == table and list(copy) == list(table)
+    assert copy[-1] == table[-1]
 
 
 def test_check_equivalence_matches_a_scalar_loop_across_blocks():
