@@ -372,6 +372,44 @@ def test_truth_table_restores_collector_state(enabled, monkeypatch):
         set_collector(was)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_truth_table_collects_each_block_only_when_the_collector_is_on(enabled):
+    n = build_bcd_adder("bcd2")  # blocks of 64, 64, 128 and 256 patterns
+    generations = []
+
+    def recorder(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    try:
+        set_collector(enabled)
+        gc.set_threshold(100)
+        gc.collect()  # so that the count of young objects starts from zero
+        gc.callbacks.append(recorder)
+        table = truth_table(n)
+        in_call = len(generations)
+        rows = list(table)
+        gc.callbacks.remove(recorder)
+        assert gc.isenabled() == enabled
+    finally:
+        if recorder in gc.callbacks:
+            gc.callbacks.remove(recorder)
+        gc.set_threshold(*threshold)
+        set_collector(was)
+    assert len(rows) == 512
+    if not enabled:
+        assert generations == []
+        return
+    # the call keeps columns, not rows: fewer young collections than blocks come due in it
+    assert in_call < 4
+    # each block's rows are tracked objects built in the caller's loop, so the collector,
+    # when on, runs young collections there, and they untrack each row's tuples of ints
+    assert generations[in_call:].count(0) >= 4
+    for row in (rows[0], rows[63], rows[64]):
+        assert [gc.is_tracked(field) for field in row] == [False, False, False]
+
+
 def test_truth_table_holds_columns_not_rows():
     n = build_bcd_chain(2)  # 17 inputs, 9 outputs and 46 garbage wires
     tracemalloc.start()
