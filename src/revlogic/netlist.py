@@ -207,7 +207,8 @@ class _Plan:
     the next ones.  Gate ``i`` is ``gates[i]``, reading ``in_slots[i]``
     and writing ``out_slots[i]``: the scalar kernel applies its ``table``
     forwards and its ``inverse_table`` backwards, the block engine its
-    ``anf``.
+    ``anf``, compiled per gate kind; ``kernel_steps`` holds each gate's
+    kernel beside its slots once the block engine has first run.
     """
 
     def __init__(self, netlist: Netlist, garbage: tuple[str, ...], order: tuple[str, ...]) -> None:
@@ -220,6 +221,7 @@ class _Plan:
         self.garbage_wires = garbage
         self.garbage_slots = tuple(map(slots.__getitem__, garbage))
         self.terminal_wires = netlist.primary_outputs + garbage
+        self.kernel_steps: list | None = None  # set by simulate, which this module does not import
 
 
 def validate(netlist: Netlist) -> list[Violation]:

@@ -27,7 +27,12 @@ through its algebraic normal form (``GateDefinition.anf``: an XOR of
 ANDs of input columns), so it runs once per block rather than once per
 pattern; rows come back out through C-level string transposition.  The
 small first blocks keep a fail-fast check cheap, and the cap bounds
-memory.
+memory.  Each gate kind's ANF is compiled once into straight-line code,
+one function per kind, whose source is built from ints only (slot
+positions and monomial masks), never from a name or other document
+text.  The compiled kernels sit in a bounded cache keyed by ANF, and
+each plan looks its gates' kernels up once.  The gate loop uses only
+``^``, ``&`` and a supplied one, so it runs over any Boolean ring.
 
 ``truth_table`` runs the block engine over every block in the call and
 keeps only the primary-output and garbage columns: (outputs + garbage)
@@ -201,18 +206,64 @@ def _low_columns(size: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def _product(mono: int, products: dict[int, int], lines: list[int]) -> int:
-    """AND of the columns of the lines in ``mono``, memoised in ``products``."""
-    term = products.get(mono)
-    if term is None:
-        low = mono & -mono
-        term = products[mono] = _product(mono ^ low, products, lines) & lines[low.bit_length() - 1]
-    return term
+@lru_cache(maxsize=256)  # keyed by ANF: one entry per distinct gate kind in use
+def _anf_kernel(anf: tuple[tuple[int, ...], ...]) -> Callable[[list, Sequence[int], Sequence[int], object], None]:
+    """One gate kind's ANF as straight-line code: ``kernel(values, in_slots, out_slots, one)``.
+
+    The kernel reads the input slots, ANDs each monomial's lines once (a
+    monomial extends the one without its lowest line, so prefixes are
+    shared), and writes each output slot as the XOR of its monomials, the
+    constant monomial being ``one``.  A bijection's output line is never
+    constant, so each has a monomial.  The source is built from slot
+    positions and monomial masks, which are ints, and fixed local names:
+    no gate name, wire name or document text reaches it, so no netlist
+    can inject code.
+    """
+    arity = len(anf)
+    positions = range(arity)
+    code = [
+        "def kernel(values, ins, outs, one):",
+        "    " + "".join(f"i{k}, " for k in positions) + "= ins",
+        "    " + "".join(f"o{k}, " for k in positions) + "= outs",
+        # line k is pattern bit arity - 1 - k, as in GateDefinition.anf
+        *(f"    x{arity - 1 - k} = values[i{k}]" for k in positions),
+    ]
+    names = {0: "one", **{1 << bit: f"x{bit}" for bit in range(arity)}}
+
+    def term(mono: int) -> str:
+        if mono not in names:
+            low = mono & -mono
+            rest = term(mono ^ low)
+            names[mono] = f"m{mono}"
+            code.append(f"    m{mono} = {rest} & {names[low]}")
+        return names[mono]
+
+    for k, monomials in enumerate(anf):
+        column = " ^ ".join([term(mono) for mono in monomials])
+        code.append(f"    values[o{k}] = {column}")
+    namespace: dict = {}
+    exec(compile("\n".join(code), "<anf kernel>", "exec"), {"__builtins__": {}}, namespace)
+    return namespace["kernel"]
+
+
+def _apply_gates(plan: _Plan, values: list, one) -> None:
+    """Apply every gate of ``plan`` to ``values`` in gate order, each through its kind's ANF kernel.
+
+    ``values`` holds one value per slot, with the sources filled in.  Only
+    ``^``, ``&`` and ``one`` touch them, so any Boolean ring serves: the
+    block engine passes int columns and the all-ones column.  The kernels
+    are looked up once per plan.
+    """
+    steps = plan.kernel_steps
+    if steps is None:
+        kernels = map(_anf_kernel, map(attrgetter("anf"), plan.gates))
+        steps = plan.kernel_steps = list(zip(kernels, plan.in_slots, plan.out_slots))
+    for kernel, ins, outs in steps:
+        kernel(values, ins, outs, one)
 
 
 def _block_columns(plan: _Plan, width: int) -> Iterator[tuple[int, list[int]]]:
     """(size, column of every slot) per block; bit j of a column is its value on pattern start + j."""
-    steps = list(zip(map(attrgetter("anf"), plan.gates), plan.in_slots, plan.out_slots))
     for start, size in _blocks(width):
         ones = (1 << size) - 1
         low = _low_columns(size)
@@ -222,14 +273,7 @@ def _block_columns(plan: _Plan, width: int) -> Iterator[tuple[int, list[int]]]:
             values[slot] = low[bit] if bit < len(low) else ones * (start >> bit & 1)
         for slot, bit in enumerate(plan.const_bits, width):
             values[slot] = ones * bit
-        for anf, in_slots, out_slots in steps:
-            lines = [values[slot] for slot in reversed(in_slots)]  # lines[b] is pattern bit b
-            products = {0: ones}
-            for slot, monomials in zip(out_slots, anf):
-                column = 0
-                for mono in monomials:
-                    column ^= _product(mono, products, lines)
-                values[slot] = column
+        _apply_gates(plan, values, ones)
         yield size, values
 
 

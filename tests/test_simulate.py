@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from revlogic import (
+    BUILTIN_GATES,
     Counterexample,
     GateDefinition,
     GateInstance,
@@ -686,3 +687,117 @@ def test_check_equivalence_matches_a_scalar_loop_across_blocks():
         assert seen == [tuple(int_to_bits(p, width)) for p in range(len(seen))]
         last = bits_to_int(scalar[cap - 1].inputs) if cap <= len(scalar) else (1 << width) - 1
         assert len(seen) == last + 1
+
+
+def random_permutation_gate(arity, seed):
+    table = list(range(1 << arity))
+    random.Random(seed).shuffle(table)
+    return GateDefinition(f"R{arity}", arity, tuple(table))
+
+
+KERNEL_GATES = [
+    *BUILTIN_GATES.values(),
+    GateDefinition("NOT", 1, (1, 0)),  # one output is the constant monomial XOR its line
+    *(random_permutation_gate(arity, 100 + arity) for arity in range(1, 9)),
+]
+
+
+@pytest.mark.parametrize("gate", KERNEL_GATES, ids=lambda gate: gate.name)
+def test_anf_kernel_reproduces_the_gate_table(gate):
+    size = 1 << gate.arity
+    values = [*simulate._low_columns(size), *[0] * gate.arity]  # slot b holds pattern bit b
+    ins = tuple(reversed(range(gate.arity)))  # the first line is the most significant bit
+    outs = tuple(range(gate.arity, 2 * gate.arity))
+    simulate._anf_kernel(gate.anf)(values, ins, outs, (1 << size) - 1)
+    for pattern in range(size):
+        word = 0
+        for slot in outs:
+            word = word << 1 | values[slot] >> pattern & 1
+        assert word == gate.table[pattern]
+
+
+def test_equal_tables_share_one_kernel():
+    twin = GateDefinition("TWIN", 2, FG.table)
+    assert simulate._anf_kernel(twin.anf) is simulate._anf_kernel(FG.anf)
+    plans = []
+    for gate in (FG, twin):
+        n = Netlist("one", ("a", "b"), (), (GateInstance(gate, ("a", "b"), ("p", "q")),), ("p", "q"))
+        truth_table(n)
+        plans.append(n._plan)
+    assert plans[0].kernel_steps[0][0] is plans[1].kernel_steps[0][0]
+
+
+def test_kernels_compile_once_per_gate_kind():
+    n = wide_netlist()  # 14 inputs: 13 blocks per sweep
+    kinds = {inst.gate.anf for inst in n.gates}
+    simulate._anf_kernel.cache_clear()
+    for netlist in (n, wide_netlist()):  # the second object has a plan of its own
+        for _ in range(2):
+            truth_table(netlist)
+    info = simulate._anf_kernel.cache_info()
+    assert info.misses == len(kinds)
+    assert info.hits + info.misses == 2 * len(n.gates)  # each plan looks each gate up once
+
+
+class GF2Poly:
+    """A polynomial over GF(2) in the input variables: a set of monomials, each a frozenset of variables."""
+
+    def __init__(self, monomials=()):
+        self.monomials = frozenset(monomials)
+
+    def __xor__(self, other):
+        return GF2Poly(self.monomials ^ other.monomials)
+
+    def __and__(self, other):
+        product = set()
+        for a in self.monomials:
+            for b in other.monomials:
+                product ^= {a | b}  # x & x == x, and equal monomials cancel in pairs
+        return GF2Poly(product)
+
+    def at(self, true):
+        """The value where exactly the variables in ``true`` are 1."""
+        return sum(mono <= true for mono in self.monomials) & 1
+
+
+def polynomial_lines(n):
+    """Every slot of ``n`` as a polynomial, from the gate loop run with input k as variable k."""
+    plan = n._plan
+    one, zero = GF2Poly({frozenset()}), GF2Poly()
+    values = [GF2Poly({frozenset({k})}) for k in range(len(n.primary_inputs))]
+    values += [one if bit else zero for bit in plan.const_bits]
+    values += [zero] * (len(plan.slots) - len(values))
+    simulate._apply_gates(plan, values, one)
+    return values
+
+
+def assert_polynomials_agree(n):
+    plan, values = n._plan, polynomial_lines(n)
+    for row in truth_table(n):
+        true = frozenset(k for k, bit in enumerate(row.inputs) if bit)
+        assert row.outputs == tuple(values[slot].at(true) for slot in plan.po_slots)
+        assert row.garbage == tuple(values[slot].at(true) for slot in plan.garbage_slots)
+    return values
+
+
+def test_gate_loop_over_polynomials_full_adder():
+    pg = builtin("PG")  # (a, b, c) -> (a, a ^ b, ab ^ c)
+    gates = (
+        GateInstance(pg, ("a", "b", "z"), ("a1", "h", "ab")),
+        GateInstance(pg, ("h", "c", "ab"), ("h1", "s", "cout")),
+    )
+    n = Netlist("full_adder", ("a", "b", "c"), (("z", 0),), gates, ("s", "cout"))
+    values = assert_polynomials_agree(n)
+    a, b, c = (frozenset({k}) for k in range(3))
+    assert values[n._plan.slots["s"]].monomials == {a, b, c}
+    assert values[n._plan.slots["cout"]].monomials == {a | b, a | c, b | c}
+
+
+def test_gate_loop_over_polynomials_random_netlists():
+    rng = random.Random(15)
+    checked = 0
+    while checked < 40:
+        n = random_netlist(rng, max_gates=12)
+        if len(n.primary_inputs) <= 6:  # products of wider polynomials are slow in pure Python
+            assert_polynomials_agree(n)
+            checked += 1
