@@ -22,18 +22,14 @@ _EXPORTS = {
     "builders": ("adder_oracle", "build_bcd_adder", "build_bcd_chain", "build_ripple_adder"),
     "gates": (
         "BUILTIN_GATES",
-        "DEFAULT_REGISTRY",
-        "DuplicateGateError",
         "GateArityError",
         "GateDefinition",
         "GateLookupError",
-        "GateRegistry",
         "LogicCost",
         "NonBijectiveError",
         "TableShapeError",
         "bits_to_int",
         "builtin",
-        "define_custom_gate",
         "int_to_bits",
     ),
     "metrics": (
@@ -64,7 +60,6 @@ _EXPORTS = {
         "TruthTableLimitError",
         "TruthTableRow",
         "check_equivalence",
-        "iter_truth_table",
         "run",
         "run_inverse",
         "truth_table",

@@ -70,14 +70,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    from .simulate import TruthTableLimitError, iter_truth_table, run
+    from .simulate import TruthTableLimitError, run, truth_table
 
     netlist = _load(args.file)
     garbage = garbage_wires(netlist)
     # refuse a wide table or a bad bitstring before the header is printed
     if args.exhaustive:
         try:
-            rows = iter_truth_table(netlist, limit=_max_inputs(args))
+            rows = truth_table(netlist, limit=_max_inputs(args))
         except TruthTableLimitError as exc:
             raise _UsageError(str(exc)) from None
     else:

@@ -20,7 +20,7 @@ total) and a LogicCost vector counting the XOR/AND/NOT operations in its
 canonical output expressions.
 
 Definitions are immutable once created and evaluation is pure.  A
-registry is populated during setup and safe for concurrent reads.
+netlist document declares every gate it uses that is not a built-in.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ MAX_CUSTOM_ARITY = 8
 
 
 class GateLookupError(KeyError):
-    """Requested gate name is not registered."""
+    """Requested gate name is not a built-in."""
 
 
 class GateArityError(ValueError):
@@ -46,10 +46,6 @@ class TableShapeError(ValueError):
 
 class NonBijectiveError(ValueError):
     """Truth table maps two input patterns to the same output pattern."""
-
-
-class DuplicateGateError(ValueError):
-    """Gate name already registered."""
 
 
 @dataclass(frozen=True)
@@ -227,52 +223,3 @@ def builtin(name: str) -> GateDefinition:
         return BUILTIN_GATES[name]
     except KeyError:
         raise GateLookupError(name) from None
-
-
-class GateRegistry:
-    """Gate-name lookup table; the built-ins are pre-registered.
-
-    Registration is a setup-phase operation; reads are safe to share
-    across threads once setup is done.
-    """
-
-    def __init__(self) -> None:
-        self._gates: dict[str, GateDefinition] = dict(BUILTIN_GATES)
-
-    def get(self, name: str) -> GateDefinition:
-        try:
-            return self._gates[name]
-        except KeyError:
-            raise GateLookupError(name) from None
-
-    def register(self, gate: GateDefinition) -> None:
-        if gate.name in self._gates:
-            raise DuplicateGateError(gate.name)
-        self._gates[gate.name] = gate
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._gates
-
-
-DEFAULT_REGISTRY = GateRegistry()
-
-
-def define_custom_gate(
-    name: str,
-    table: Sequence[Sequence[int]],
-    quantum_cost: int | None = None,
-    logic_cost: LogicCost = LogicCost(),
-    registry: GateRegistry | None = None,
-) -> GateDefinition:
-    """Register a user-defined gate from its full truth table.
-
-    The table must be a bijection; a missing quantum_cost marks the gate
-    (and any circuit using it) as having an unknown cost.  Rejects
-    duplicate names and non-bijective tables.
-    """
-    reg = DEFAULT_REGISTRY if registry is None else registry
-    if name in reg:
-        raise DuplicateGateError(name)
-    gate = GateDefinition.from_table(name, table, quantum_cost, logic_cost)
-    reg.register(gate)
-    return gate

@@ -48,18 +48,18 @@ def analyze(netlist: Netlist) -> MetricsReport:
 
     The quantum cost is the sum of per-gate costs; any gate with an
     unknown cost makes the total unknown (None).  Logical totals depend
-    only on the gate multiset.
+    only on the gate multiset.  A valid netlist gives each gate name one
+    definition, so both are summed per gate kind, as count x cost.
     """
     garbage = garbage_wires(netlist)
     counts = Counter(inst.gate.name for inst in netlist.gates)
+    kinds = {inst.gate.name: inst.gate for inst in netlist.gates}
     quantum: int | None = 0
     logical = LogicCost()
-    for inst in netlist.gates:
-        if inst.gate.quantum_cost is None:
-            quantum = None
-        elif quantum is not None:
-            quantum += inst.gate.quantum_cost
-        logical = logical + inst.gate.logic_cost
+    for name, gate in kinds.items():
+        count, cost = counts[name], gate.logic_cost
+        quantum = None if quantum is None or gate.quantum_cost is None else quantum + count * gate.quantum_cost
+        logical += LogicCost(count * cost.xors, count * cost.ands, count * cost.nots)
     return MetricsReport(
         gate_count=len(netlist.gates),
         gates=dict(sorted(counts.items())),

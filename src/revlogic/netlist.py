@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .gates import GateDefinition, is_bit, is_identifier
+from .gates import BUILTIN_GATES, GateDefinition, is_bit, is_identifier
 
 
 class _GateInstanceFields(NamedTuple):
@@ -148,8 +148,16 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
         if not is_bit(bit):  # True or 1.0 would serialize as text the parser refuses
             report("bad-constant", f"constant {wire!r} must be 0 or 1, got {bit!r}", wire, None, position)
 
+    meaning = dict(BUILTIN_GATES)  # what each gate name means: the built-in, else its first gate here
     for index, inst in enumerate(netlist.gates):
         gate = inst.gate
+        meant = meaning.setdefault(gate.name, gate)
+        if meant is not gate and meant != gate:
+            report(
+                "gate-name-clash",
+                f"gate {index} ({gate.name}) differs from the {gate.name} this netlist already has",
+                gate_index=index,
+            )
         if len(inst.inputs) != gate.arity or len(inst.outputs) != gate.arity:
             report(
                 "arity-mismatch",

@@ -39,13 +39,12 @@ keeps only the primary-output and garbage columns: (outputs + garbage)
 x 2^k bits, about 1 MB for the 2^17 patterns of bcd-chain 2.  It returns
 them as a ``TruthTable``, a read-only ``Sequence`` whose rows are built
 when they are read; a row's inputs follow from its index.  Iteration,
-the one row path (``iter_truth_table`` is ``iter(truth_table(...))``),
-builds one block's rows at a time in C, by ``tuple.__new__`` on the row
-type, so a caller that streams the table (``sim --exhaustive``) holds
-the columns, not the rows.  When a block has more patterns than its
-outputs have values, equal output tuples in the block are one shared
-object.  The table holds no rows, so the cyclic garbage collector has
-nothing of it to scan.
+the one row path, builds one block's rows at a time in C, by
+``tuple.__new__`` on the row type, so a caller that streams the table
+(``sim --exhaustive``) holds the columns, not the rows.  When a block
+has more patterns than its outputs have values, equal output tuples in
+the block are one shared object.  The table holds no rows, so the
+cyclic garbage collector has nothing of it to scan.
 """
 
 from __future__ import annotations
@@ -395,15 +394,6 @@ def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> TruthTabl
     kept = plan.po_slots + plan.garbage_slots
     columns = [tuple([values[slot] for slot in kept]) for _size, values in _block_columns(plan, width)]
     return TruthTable(width, len(plan.po_slots), columns)
-
-
-def iter_truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> Iterator[TruthTableRow]:
-    """``iter(truth_table(netlist, limit))``: the rows, built one block at a time as they are read.
-
-    The input count is checked against ``limit``, and the columns are
-    computed, by this call, before any row is asked for.
-    """
-    return iter(truth_table(netlist, limit))
 
 
 def check_equivalence(

@@ -5,11 +5,19 @@ comment, tokens are whitespace separated, sections appear in this
 order):
 
     circuit NAME
+    define NAME COST XORS ANDS NOTS ROW...   (zero or more)
     inputs WIRE...
     const WIRE BIT              (zero or more)
     gate NAME IN... -> OUT...   (zero or more, in execution order)
     outputs WIRE...
     end
+
+A ``define`` line declares a gate that is not a built-in: its quantum
+cost (ASCII digits or ``unknown``), its XOR, AND and NOT counts, and
+one output bitstring per input pattern in ascending order, e.g.
+``define SWAP 3 0 0 0 00 10 01 11``.  Gate names resolve against the
+built-ins and these lines only, so a document means the same in every
+process.
 
 The parser checks this grammar and looks up gate names.  The name rule,
 for the circuit and every wire, and the wire rules are
@@ -20,15 +28,17 @@ circuit name sits on the name); which occurrence of a repeated wire is
 at fault is decided by ``validate`` alone.  Parsing either returns a
 complete, validated netlist or raises NetlistParseError carrying
 positioned diagnostics; no partial netlist escapes a failed parse.
-Serialization is canonical and deterministic, and parse(serialize(n))
-reproduces every valid n exactly, built in code or parsed.
+Serialization is canonical and deterministic: it writes one ``define``
+line per gate that is not a built-in, in order of first use, and
+parse(serialize(n)) reproduces every valid n exactly, built in code or
+parsed.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .gates import DEFAULT_REGISTRY, GateLookupError, GateRegistry
+from .gates import BUILTIN_GATES, GateDefinition, LogicCost
 from .netlist import GateInstance, Netlist, Violation, require_valid, validate
 
 _BITS = {"0": 0, "1": 1}
@@ -65,16 +75,32 @@ def _tokenize(text: str):
             yield lineno, tokens
 
 
-def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
-    """Parse a netlist document, resolving gate names against a registry.
+def _count(token: str, rule: str) -> int:
+    if token.isascii() and token.isdigit():  # int() alone would also take '٣', '+3' and '3_0'
+        return int(token)
+    raise ValueError(f"{rule}, got {token!r}")
+
+
+def _declared_gate(tokens: list[str]) -> GateDefinition:
+    """The gate of a ``define NAME COST XORS ANDS NOTS ROW...`` line; ValueError for a bad one."""
+    cost = None if tokens[2] == "unknown" else _count(tokens[2], "quantum cost must be 'unknown' or ASCII digits")
+    logic = LogicCost(*(_count(token, "logic cost must be ASCII digits") for token in tokens[3:6]))
+    # a character other than 0/1 stays a string, for from_table to refuse
+    rows = [[_BITS.get(char, char) for char in row] for row in tokens[6:]]
+    return GateDefinition.from_table(tokens[1], rows, cost, logic)
+
+
+def parse_netlist(text: str) -> Netlist:
+    """Parse a netlist document, resolving gate names against the built-ins and its own ``define`` lines.
 
     Raises NetlistParseError with positioned diagnostics for grammar
-    problems, unknown gates and every error ``validate`` finds (bad
-    circuit or wire name, arity mismatch, bad constant, redefinition,
-    use before definition, fan-out, duplicate or undefined output).
-    Warnings do not fail a parse; the returned netlist's check is cached.
+    problems, bad or clashing gate definitions, unknown gates and every
+    error ``validate`` finds (bad circuit or wire name, arity mismatch,
+    bad constant, redefinition, use before definition, fan-out,
+    duplicate or undefined output).  Warnings do not fail a parse; the
+    returned netlist's check is cached.
     """
-    reg = DEFAULT_REGISTRY if registry is None else registry
+    known = dict(BUILTIN_GATES)
     diagnostics: list[ParseDiagnostic] = []
 
     def fail(lineno: int, token: int, rule: str, message: str) -> NetlistParseError:
@@ -100,6 +126,17 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
             name, circuit_at = tokens[1], lineno
             state = "inputs"
         elif state == "inputs":
+            if key == "define":
+                if len(tokens) < 6:
+                    raise fail(lineno, 0, "syntax", "expected 'define NAME COST XORS ANDS NOTS ROW...'")
+                if tokens[1] in known:
+                    diagnostics.append(ParseDiagnostic(lineno, 1, "gate-name-clash", f"gate {tokens[1]!r} is already defined"))
+                    continue
+                try:
+                    known[tokens[1]] = _declared_gate(tokens)
+                except ValueError as exc:
+                    diagnostics.append(ParseDiagnostic(lineno, 1, "bad-gate-definition", str(exc)))
+                continue
             if key != "inputs":
                 raise fail(lineno, 0, "syntax", f"expected 'inputs', got {key!r}")
             inputs, inputs_at = tokens[1:], lineno
@@ -116,9 +153,8 @@ def parse_netlist(text: str, registry: GateRegistry | None = None) -> Netlist:
             elif key == "gate":
                 if len(tokens) < 2:
                     raise fail(lineno, 0, "syntax", "expected 'gate NAME IN... -> OUT...'")
-                try:
-                    gate = reg.get(tokens[1])
-                except GateLookupError:
+                gate = known.get(tokens[1])
+                if gate is None:
                     diagnostics.append(ParseDiagnostic(lineno, 1, "unknown-gate", f"unknown gate {tokens[1]!r}"))
                     continue
                 if "->" not in tokens:
@@ -173,6 +209,13 @@ def serialize_netlist(netlist: Netlist) -> str:
     """Canonical text form of a valid netlist; stable across runs."""
     require_valid(netlist)
     lines = [f"circuit {netlist.name}"]
+    # one definition per name in a valid netlist: the first use of each name fixes the order
+    declared = {inst.gate.name: inst.gate for inst in netlist.gates if inst.gate.name not in BUILTIN_GATES}
+    for gate in declared.values():
+        cost = "unknown" if gate.quantum_cost is None else gate.quantum_cost
+        logic = gate.logic_cost
+        rows = " ".join(format(pattern, f"0{gate.arity}b") for pattern in gate.table)
+        lines.append(f"define {gate.name} {cost} {logic.xors} {logic.ands} {logic.nots} {rows}")
     lines.append(" ".join(["inputs", *netlist.primary_inputs]).rstrip())
     for wire, bit in netlist.constants:
         lines.append(f"const {wire} {bit}")

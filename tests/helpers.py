@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from revlogic import GateInstance, Netlist, bits_to_int, builtin, int_to_bits
+from revlogic import GateDefinition, GateInstance, LogicCost, Netlist, bits_to_int, builtin, int_to_bits
 
 GATE_POOL = ("FG", "PG", "TG", "FRG", "PFAG", "HNG", "HNFG")
 
@@ -48,11 +48,22 @@ def decode_bcd_result(bits, digits: int = 1) -> tuple[int, int]:
     return value, bits[4 * digits]
 
 
+def random_gate(rng: random.Random, name: str) -> GateDefinition:
+    """A custom gate of 1-8 lines: a random permutation, quantum cost and logic cost."""
+    arity = rng.randint(1, 8)
+    table = list(range(1 << arity))
+    rng.shuffle(table)
+    cost = rng.choice((None, rng.randint(0, 20)))
+    return GateDefinition(name, arity, tuple(table), cost, LogicCost(*(rng.randint(0, 9) for _ in range(3))))
+
+
 def random_netlist(rng: random.Random, max_gates: int = 8) -> Netlist:
     """A structurally valid netlist with random gates and wiring.
 
-    Wires are only ever consumed from the defined-and-unconsumed pool,
-    so the define-before-use and fan-out rules hold by construction.
+    Gates are built-ins or custom kinds, each custom kind a random table
+    under its own name, used once or more.  Wires are only ever consumed
+    from the defined-and-unconsumed pool, so the define-before-use and
+    fan-out rules hold by construction.
     """
     inputs: list[str] = []
     constants: list[tuple[str, int]] = []
@@ -74,8 +85,13 @@ def random_netlist(rng: random.Random, max_gates: int = 8) -> Netlist:
         available.append(wire)
         return wire
 
+    kinds = [builtin(name) for name in GATE_POOL]
     for _ in range(rng.randint(0, max_gates)):
-        gate = builtin(rng.choice(GATE_POOL))
+        if rng.random() < 0.2:  # a new custom kind
+            kinds.append(random_gate(rng, f"U{len(kinds) - len(GATE_POOL)}"))
+            gate = kinds[-1]
+        else:
+            gate = rng.choice(kinds)
         while len(available) < gate.arity:
             new_source()
         rng.shuffle(available)

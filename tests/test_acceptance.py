@@ -110,6 +110,11 @@ def test_criterion_06_garbage_accounting():
     for seed in range(500):
         n = random_netlist(random.Random(seed))
         assert len(garbage_wires(n)) == len(n.primary_inputs) + len(n.constants) - len(n.primary_outputs)
+        # analyze sums per gate kind; summed per gate, the costs must agree
+        metrics = analyze(n)
+        costs = [inst.gate.quantum_cost for inst in n.gates]
+        assert metrics.quantum_cost == (None if None in costs else sum(costs))
+        assert metrics.logical == sum((inst.gate.logic_cost for inst in n.gates), LogicCost())
     for design in ("bcd1", "bcd2"):
         metrics = analyze(build_bcd_adder(design))
         assert metrics.garbage == 23

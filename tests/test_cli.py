@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import revlogic
-from revlogic import GateInstance, Netlist, build_ripple_adder, builtin, iter_truth_table, parse_netlist, serialize_netlist
+from revlogic import GateInstance, Netlist, build_ripple_adder, builtin, parse_netlist, serialize_netlist, truth_table
 from revlogic.cli import main
 from revlogic.simulate import DEFAULT_COUNTEREXAMPLE_LIMIT
 
@@ -191,7 +191,7 @@ def test_sim_exhaustive_streams_rows(netfile):
     path = netfile(text)
     tracemalloc.start()
     try:
-        rows = list(iter_truth_table(parse_netlist(text)))
+        rows = list(truth_table(parse_netlist(text)))
         table = tracemalloc.get_traced_memory()[0]
         del rows
         tracemalloc.reset_peak()

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from revlogic import (
     BUILTIN_GATES,
-    DuplicateGateError,
     GateArityError,
     GateDefinition,
+    GateInstance,
     GateLookupError,
-    GateRegistry,
     LogicCost,
+    Netlist,
     NonBijectiveError,
     TableShapeError,
     builtin,
-    define_custom_gate,
+    validate,
 )
 from revlogic.gates import _BUILTINS, is_bit, is_identifier
 
@@ -156,28 +156,33 @@ def test_int_gate_bits_are_accepted(value):
 
 
 def test_define_custom_gate_swap():
-    registry = GateRegistry()
-    swap = define_custom_gate("SWAP", [[0, 0], [1, 0], [0, 1], [1, 1]], quantum_cost=3, registry=registry)
-    assert registry.get("SWAP") is swap
+    swap = GateDefinition.from_table("SWAP", [[0, 0], [1, 0], [0, 1], [1, 1]], quantum_cost=3)
+    assert (swap.name, swap.arity, swap.table, swap.quantum_cost) == ("SWAP", 2, (0, 2, 1, 3), 3)
     assert swap.apply([0, 1]) == [1, 0]
     assert swap.invert([1, 0]) == [0, 1]
 
 
 def test_define_custom_gate_rejects_non_bijective():
-    registry = GateRegistry()
     with pytest.raises(NonBijectiveError):
-        define_custom_gate("BAD", [[0, 0], [0, 0], [1, 0], [1, 1]], registry=registry)
-    assert "BAD" not in registry
+        GateDefinition.from_table("BAD", [[0, 0], [0, 0], [1, 0], [1, 1]])
+
+
+def clash_findings(*definitions):
+    """validate's findings on one netlist that applies each definition to its own pair of wires."""
+    gates = [GateInstance(gate, (f"a{i}", f"b{i}"), (f"p{i}", f"q{i}")) for i, gate in enumerate(definitions)]
+    inputs = [wire for inst in gates for wire in inst.inputs]
+    outputs = [wire for inst in gates for wire in inst.outputs]
+    return [(v.rule, v.gate_index, v.position) for v in validate(Netlist("c", inputs, (), gates, outputs))]
 
 
 def test_define_custom_gate_rejects_duplicates():
-    registry = GateRegistry()
+    # a netlist gives each gate name one definition, and a built-in's name means the built-in
     table = [[0, 0], [1, 0], [0, 1], [1, 1]]
-    define_custom_gate("SWAP", table, registry=registry)
-    with pytest.raises(DuplicateGateError):
-        define_custom_gate("SWAP", table, registry=registry)
-    with pytest.raises(DuplicateGateError):
-        define_custom_gate("FG", table, registry=registry)  # built-ins are taken
+    swap = GateDefinition.from_table("SWAP", table)
+    same_fg = GateDefinition.from_table("FG", [[0, 0], [0, 1], [1, 1], [1, 0]], 1, LogicCost(1, 0, 0))
+    assert clash_findings(swap, GateDefinition.from_table("SWAP", table), same_fg, builtin("FG")) == []
+    assert clash_findings(swap, GateDefinition.from_table("SWAP", table, quantum_cost=3)) == [("gate-name-clash", 1, None)]
+    assert clash_findings(swap, GateDefinition.from_table("FG", table)) == [("gate-name-clash", 1, None)]
 
 
 def test_custom_gate_arity_bounds():

@@ -63,10 +63,9 @@ def test_analyze_rejects_invalid():
 
 
 def test_custom_gate_without_cost_makes_circuit_unknown():
-    from revlogic import GateRegistry, define_custom_gate
+    from revlogic import GateDefinition
 
-    registry = GateRegistry()
-    swap = define_custom_gate("SWAP2", [[0, 0], [1, 0], [0, 1], [1, 1]], registry=registry)
+    swap = GateDefinition.from_table("SWAP2", [[0, 0], [1, 0], [0, 1], [1, 1]])
     n = Netlist("s", ("a", "b"), (), (GateInstance(swap, ("a", "b"), ("p", "q")),), ("p", "q"))
     assert analyze(n).quantum_cost is None
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import revlogic.netlist
 from revlogic import (
+    BUILTIN_GATES,
+    GateDefinition,
     GateInstance,
-    GateRegistry,
     InvalidNetlistError,
     Netlist,
     NetlistParseError,
@@ -20,7 +21,6 @@ from revlogic import (
     build_bcd_chain,
     build_ripple_adder,
     builtin,
-    define_custom_gate,
     garbage_wires,
     is_valid,
     parse_netlist,
@@ -154,15 +154,22 @@ def test_serialized_gate_lines():
     assert bcd2.count("gate PG ") == 1
 
 
-def test_parse_with_custom_registry():
-    registry = GateRegistry()
-    define_custom_gate("SWAP", [[0, 0], [1, 0], [0, 1], [1, 1]], registry=registry)
-    text = "circuit s\ninputs a b\ngate SWAP a b -> p q\noutputs p q\nend\n"
-    n = parse_netlist(text, registry=registry)
+def test_parse_with_declared_gate():
+    define = "define SWAP 3 0 0 0 00 10 01 11\n"
+    text = f"circuit s\n{define}inputs a b\ngate SWAP a b -> p q\noutputs p q\nend\n"
+    n = parse_netlist(text)
+    assert n.gates[0].gate == GateDefinition.from_table("SWAP", [[0, 0], [1, 0], [0, 1], [1, 1]], 3)
     result = run(n, {"a": 1, "b": 0})
     assert result.primary_out == {"p": 0, "q": 1}
-    with pytest.raises(NetlistParseError):
-        parse_netlist(text)  # default registry lacks SWAP
+    assert serialize_netlist(n) == text
+    # a gate is known to the document that declares it, and to no other
+    assert diagnostics_of(text.replace(define, ""))[0][:3] == (3, 1, "unknown-gate")
+    # counts are ASCII digits only, though int() takes all of these
+    for count in ("+3", "٣", "3_0"):
+        for at in range(2, 6):
+            tokens = define.split()
+            tokens[at] = count
+            assert diagnostics_of(text.replace(define, " ".join(tokens) + "\n"))[0][:3] == (2, 1, "bad-gate-definition")
 
 
 def test_serialize_rejects_invalid_netlist():
@@ -219,6 +226,15 @@ POSITIONED = [
         [("redefinition", 2, 2), ("use-before-definition", 3, 3), ("undefined-output", 4, 3)],
     ),
     ("circuit 1c\ninputs a b\ngate FG a a -> p q\noutputs p q\nend\n", [("bad-circuit-name", 1, 1), ("fan-out", 3, 3)]),
+    # a built-in's name is taken: the gate line still means the built-in
+    (
+        "circuit c\ndefine FG 1 1 0 0 11 01 10 00\ninputs a b\ngate FG a b -> p q\noutputs p q\nend\n",
+        [("gate-name-clash", 2, 1)],
+    ),
+    (
+        "circuit c\ndefine S 3 0 0 0 00 00 01 11\ninputs a b\ngate S a b -> p q\noutputs p q\nend\n",
+        [("bad-gate-definition", 2, 1), ("unknown-gate", 4, 1), ("undefined-output", 5, 1), ("undefined-output", 5, 2)],
+    ),
 ]
 
 
@@ -301,10 +317,16 @@ def test_parsed_netlist_is_not_checked_again(monkeypatch):
     assert len(calls) == 1
 
 
-KEYWORDS = ["circuit", "inputs", "const", "gate", "outputs", "end", "->", "0", "1", "7"]
+KEYWORDS = ["circuit", "define", "inputs", "const", "gate", "outputs", "end", "->"]
+COUNTS = ["0", "1", "7", "unknown", "٣", "+3"]
+BITSTRINGS = ["00", "01", "10", "11", "0", "1", "0x", "011"]
 GATE_NAMES = ["FG", "PG", "TG", "FRG", "PFAG", "HNG", "HNFG", "NOPE"]
 WIRES = ["a", "b", "c", "p", "q", "k", "_w1", "1a", "-", "a-b", "#x"]
-soup_line = st.lists(st.sampled_from(KEYWORDS + GATE_NAMES + WIRES), min_size=0, max_size=7).map(" ".join)
+soup_line = st.lists(st.sampled_from(KEYWORDS + COUNTS + GATE_NAMES + WIRES + BITSTRINGS), max_size=7).map(" ".join)
+# a define line: a real or bad name, counts and bitstrings, sometimes too short
+define_line = st.lists(st.sampled_from(["S", "FG", "1a", *COUNTS, *BITSTRINGS]), max_size=8).map(
+    lambda tokens: " ".join(["define", *tokens])
+)
 
 
 @st.composite
@@ -312,7 +334,8 @@ def soup_documents(draw):
     """Token soup, mostly behind a well-formed header so the body and the wire rules are reached."""
     body = draw(st.lists(soup_line, max_size=8))
     if draw(st.booleans()):
-        body = ["circuit c", "inputs " + draw(soup_line), *body, "outputs " + draw(soup_line), "end"]
+        defines = draw(st.lists(define_line, max_size=3))
+        body = ["circuit c", *defines, "inputs " + draw(soup_line), *body, "outputs " + draw(soup_line), "end"]
     return "\n".join(body) + "\n"
 
 
@@ -327,7 +350,14 @@ def test_parser_is_total(text):
 
 def render(n):
     """Document text of any netlist, valid or not (serialize_netlist takes only valid ones)."""
-    lines = [f"circuit {n.name}", " ".join(["inputs", *n.primary_inputs])]
+    lines = [f"circuit {n.name}"]
+    declared = {inst.gate.name: inst.gate for inst in n.gates if inst.gate.name not in BUILTIN_GATES}
+    for gate in declared.values():
+        cost = "unknown" if gate.quantum_cost is None else gate.quantum_cost
+        logic = gate.logic_cost
+        rows = (format(pattern, f"0{gate.arity}b") for pattern in gate.table)
+        lines.append(" ".join(["define", gate.name, str(cost), str(logic.xors), str(logic.ands), str(logic.nots), *rows]))
+    lines.append(" ".join(["inputs", *n.primary_inputs]))
     lines += [f"const {wire} {bit}" for wire, bit in n.constants]
     lines += [" ".join(["gate", inst.gate.name, *inst.inputs, "->", *inst.outputs]) for inst in n.gates]
     lines += [" ".join(["outputs", *n.primary_outputs]), "end"]
