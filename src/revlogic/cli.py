@@ -11,7 +11,8 @@ A command imports only the layers it runs.  Every command reads or
 writes the text format, so ``gates``, ``netlist`` and ``textio`` load
 at start-up; ``builders``, ``simulate`` and ``metrics`` are imported
 inside the commands that use them, and ``json`` only for ``--json``.
-``validate`` thus loads neither the simulator nor the metrics.
+``validate`` thus loads neither the simulator nor the metrics, and no
+command loads ``dataclasses`` or ``inspect``.
 """
 
 from __future__ import annotations

@@ -21,15 +21,21 @@ canonical output expressions.
 
 Definitions are immutable once created and evaluation is pure.  A
 netlist document declares every gate it uses that is not a built-in.
+``LogicCost``, ``GateDefinition`` and ``netlist.Netlist`` are plain
+classes on one immutable base, ``_Immutable``: they behave as frozen
+dataclasses would, ``dataclasses.replace`` included, without importing
+``dataclasses`` (and with it ``inspect``) at start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 MAX_CUSTOM_ARITY = 8
+# the largest quantum cost or logic-cost count: 19 digits, which the text
+# format writes under any int-to-string limit Python allows (at least 640)
+MAX_COST = 2**63 - 1
 
 
 class GateLookupError(KeyError):
@@ -48,17 +54,77 @@ class NonBijectiveError(ValueError):
     """Truth table maps two input patterns to the same output pattern."""
 
 
-@dataclass(frozen=True)
-class LogicCost:
-    """XOR/AND/NOT operation counts, each a non-negative int; vectors add componentwise."""
+class _FromDataclass:
+    """A class attribute read, on first access, from a dataclass with the class's field names."""
 
-    xors: int = 0
-    ands: int = 0
-    nots: int = 0
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
 
-    def __post_init__(self) -> None:
-        if not all(type(n) is int and n >= 0 for n in (self.xors, self.ands, self.nots)):
-            raise ValueError("logic cost components must be non-negative")
+    def __get__(self, obj: object, cls: type) -> object:
+        if "_dataclass" not in cls.__dict__:
+            import dataclasses  # loaded already by whoever asks: replace, fields, asdict, pprint
+
+            cls._dataclass = dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
+        return getattr(cls._dataclass, self.name)
+
+
+class _Immutable:
+    """Base of the immutable value types, which behave as frozen dataclasses.
+
+    ``__match_args__`` names the fields in order; a subclass's ``__init__``
+    checks its arguments and sets the fields once, through ``_set_fields``.
+    Equality (with the same class only), the hash, the repr and pickles
+    use the fields alone, so the ``cached_property`` caches a subclass
+    keeps stay out of all four.  ``dataclasses.fields``, ``replace`` and
+    ``asdict`` work on instances.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+    __dataclass_fields__ = _FromDataclass()
+    __dataclass_params__ = _FromDataclass()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__getstate__().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getstate__(self) -> dict:
+        return dict(zip(self.__match_args__, self._values()))
+
+    def __replace__(self, **changes: object) -> _Immutable:
+        """``copy.replace`` (Python 3.13 on), as a dataclass has it."""
+        return type(self)(**{**self.__getstate__(), **changes})
+
+
+class LogicCost(_Immutable):
+    """XOR/AND/NOT operation counts, each an int in 0..MAX_COST; vectors add componentwise."""
+
+    __match_args__ = ("xors", "ands", "nots")
+
+    def __init__(self, xors: int = 0, ands: int = 0, nots: int = 0) -> None:
+        if not all(type(n) is int and 0 <= n <= MAX_COST for n in (xors, ands, nots)):
+            raise ValueError(f"logic cost components must be non-negative ints up to {MAX_COST}")
+        self._set_fields(xors, ands, nots)
 
     def __add__(self, other: LogicCost) -> LogicCost:
         return LogicCost(self.xors + other.xors, self.ands + other.ands, self.nots + other.nots)
@@ -97,8 +163,7 @@ def bits_to_int(bits: Sequence[int]) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GateDefinition:
+class GateDefinition(_Immutable):
     """A named k-line bijection with cost metadata.
 
     ``table[p]`` is the output pattern for input pattern ``p``; the
@@ -106,25 +171,29 @@ class GateDefinition:
     means no realization cost is known.
     """
 
-    name: str
-    arity: int
-    table: tuple[int, ...]
-    quantum_cost: int | None = None
-    logic_cost: LogicCost = LogicCost()
+    __match_args__ = ("name", "arity", "table", "quantum_cost", "logic_cost")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(self.table))
-        if not is_identifier(self.name):
-            raise ValueError(f"bad gate name {self.name!r}")
-        if type(self.arity) is not int or not 1 <= self.arity <= MAX_CUSTOM_ARITY:
-            raise ValueError(f"gate arity must be 1..{MAX_CUSTOM_ARITY}, got {self.arity}")
-        size = 1 << self.arity
-        if len(self.table) != size or any(type(p) is not int or not 0 <= p < size for p in self.table):
-            raise TableShapeError(f"{self.name}: table must hold {size} patterns of {self.arity} bits")
-        if len(set(self.table)) != size:
-            raise NonBijectiveError(f"{self.name}: table is not a permutation")
-        if self.quantum_cost is not None and (type(self.quantum_cost) is not int or self.quantum_cost < 0):
-            raise ValueError("quantum cost must be non-negative or None")
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        table: Iterable[int],
+        quantum_cost: int | None = None,
+        logic_cost: LogicCost = LogicCost(),
+    ) -> None:
+        table = tuple(table)
+        if not is_identifier(name):
+            raise ValueError(f"bad gate name {name!r}")
+        if type(arity) is not int or not 1 <= arity <= MAX_CUSTOM_ARITY:
+            raise ValueError(f"gate arity must be 1..{MAX_CUSTOM_ARITY}, got {arity}")
+        size = 1 << arity
+        if len(table) != size or any(type(p) is not int or not 0 <= p < size for p in table):
+            raise TableShapeError(f"{name}: table must hold {size} patterns of {arity} bits")
+        if len(set(table)) != size:
+            raise NonBijectiveError(f"{name}: table is not a permutation")
+        if quantum_cost is not None and (type(quantum_cost) is not int or not 0 <= quantum_cost <= MAX_COST):
+            raise ValueError(f"quantum cost must be None or a non-negative int up to {MAX_COST}")
+        self._set_fields(name, arity, table, quantum_cost, logic_cost)
 
     @cached_property
     def inverse_table(self) -> tuple[int, ...]:

@@ -11,20 +11,22 @@ wire rules keep the circuit reversible end to end:
     acyclic by construction.
 
 Wires that are defined but never consumed and are not primary outputs
-are the garbage outputs.  Netlists are immutable after construction,
-so each one is checked at most once and compiled at most once: the
-first query records its validation findings, wire order and garbage,
-the first simulation builds its evaluation plan from that order, and
-later calls read them.
+are the garbage outputs.  Netlists are immutable after construction
+(``Netlist`` is a plain class on ``gates._Immutable``, so it behaves as
+a frozen dataclass without importing ``dataclasses``), so each one is
+checked at most once and compiled at most once: the first query
+records its validation findings, wire order and garbage, the first
+simulation builds its evaluation plan from that order, and later calls
+read them.  Neither cache shows in equality, the hash, the repr or a
+pickle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .gates import BUILTIN_GATES, GateDefinition, is_bit, is_identifier
+from .gates import BUILTIN_GATES, GateDefinition, _Immutable, is_bit, is_identifier
 
 
 class _GateInstanceFields(NamedTuple):
@@ -50,21 +52,25 @@ class GateInstance(_GateInstanceFields):
         return cls(*iterable)  # so _replace converts its wires too
 
 
-@dataclass(frozen=True)
-class Netlist:
-    """Ordered wiring of gate instances with explicit input/constant/output roles."""
+class Netlist(_Immutable):
+    """Ordered wiring of gate instances with explicit input/constant/output roles.
 
-    name: str
-    primary_inputs: tuple[str, ...]
-    constants: tuple[tuple[str, int], ...]
-    gates: tuple[GateInstance, ...]
-    primary_outputs: tuple[str, ...]
+    Every sequence field is stored as a tuple, and each constant as a
+    ``(wire, bit)`` pair, whatever sequences they are given as.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "primary_inputs", tuple(self.primary_inputs))
-        object.__setattr__(self, "constants", tuple((w, b) for w, b in self.constants))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "primary_outputs", tuple(self.primary_outputs))
+    __match_args__ = ("name", "primary_inputs", "constants", "gates", "primary_outputs")
+
+    def __init__(
+        self,
+        name: str,
+        primary_inputs: Iterable[str],
+        constants: Iterable[tuple[str, int]],
+        gates: Iterable[GateInstance],
+        primary_outputs: Iterable[str],
+    ) -> None:
+        constants = tuple((w, b) for w, b in constants)
+        self._set_fields(name, tuple(primary_inputs), constants, tuple(gates), tuple(primary_outputs))
 
     @property
     def constant_wires(self) -> tuple[str, ...]:
@@ -84,10 +90,6 @@ class Netlist:
         """
         require_valid(self)
         return _Plan(self, *self._checked[1:])
-
-    def __getstate__(self) -> dict:
-        # the cached forms are derived data: pickles and copies rebuild them
-        return {k: v for k, v in self.__dict__.items() if k not in ("_checked", "_plan")}
 
 
 class Violation(NamedTuple):

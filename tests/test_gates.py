@@ -21,7 +21,7 @@ from revlogic import (
     builtin,
     validate,
 )
-from revlogic.gates import _BUILTINS, is_bit, is_identifier
+from revlogic.gates import _BUILTINS, MAX_COST, is_bit, is_identifier
 
 BUILTIN_NAMES = sorted(BUILTIN_GATES)
 
@@ -195,16 +195,19 @@ def test_gate_counts_are_ints():
     for arity in (True, 1.0, 0, 9):
         with pytest.raises(ValueError, match="gate arity must be"):
             GateDefinition("X", arity, (1, 0))
-    for cost in (1.5, True, 1.0, -1):
+    # counts above MAX_COST would have more digits than the text format may write
+    for cost in (1.5, True, 1.0, -1, MAX_COST + 1):
         with pytest.raises(ValueError, match="quantum cost must be"):
             GateDefinition("X", 1, (1, 0), quantum_cost=cost)
         with pytest.raises(ValueError, match="quantum cost must be"):
             GateDefinition.from_table("X", [[1], [0]], quantum_cost=cost)
-    for parts in ((1.5, 0, 0), (0, True, 0), (0, 0, 1.0), (0, 0, -1)):
+    for parts in ((1.5, 0, 0), (0, True, 0), (0, 0, 1.0), (0, 0, -1), (MAX_COST + 1, 0, 0), (0, 0, MAX_COST + 1)):
         with pytest.raises(ValueError, match="logic cost components must be"):
             LogicCost(*parts)
     gate = GateDefinition("X", 1, (1, 0), quantum_cost=0, logic_cost=LogicCost(0, 0, 1))
     assert (gate.arity, gate.quantum_cost, gate.logic_cost.render()) == (1, 0, "1δ")
+    gate = GateDefinition("X", 1, (1, 0), MAX_COST, LogicCost(MAX_COST, MAX_COST, MAX_COST))
+    assert gate.quantum_cost == gate.logic_cost.nots == MAX_COST == 2**63 - 1
 
 
 # ASCII plus letters and a digit that Python accepts in identifiers but the name rule does not

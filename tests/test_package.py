@@ -1,5 +1,8 @@
 """The package's lazy exports, what each entry point loads, and the result records."""
 
+import copy
+import dataclasses
+import hashlib
 import importlib
 import os
 import pickle
@@ -14,6 +17,7 @@ from revlogic import (
     Comparison,
     ComputedRow,
     Counterexample,
+    GateDefinition,
     GateInstance,
     LiteratureRow,
     LogicCost,
@@ -21,7 +25,12 @@ from revlogic import (
     ParseDiagnostic,
     TraceResult,
     Violation,
+    build_bcd_adder,
+    build_ripple_adder,
     builtin,
+    run,
+    serialize_netlist,
+    validate,
 )
 
 FG = builtin("FG")
@@ -80,7 +89,7 @@ def test_validate_loads_only_the_text_layers(tmp_path):
     assert proc.returncode == 0 and proc.stdout == "ok\n"
     modules = imported(proc.stderr)
     assert {m for m in modules if m.startswith("revlogic")} == {"revlogic", "revlogic.gates", "revlogic.netlist", "revlogic.textio"}
-    assert "json" not in modules
+    assert not modules & {"json", "dataclasses", "inspect"}
 
 
 def test_metrics_json_loads_what_it_runs(tmp_path):
@@ -90,7 +99,28 @@ def test_metrics_json_loads_what_it_runs(tmp_path):
     assert proc.returncode == 0 and '"quantum_cost": 1' in proc.stdout
     modules = imported(proc.stderr)
     assert {"revlogic.metrics", "json"} <= modules
-    assert not modules & {"revlogic.simulate", "revlogic.builders"}
+    assert not modules & {"revlogic.simulate", "revlogic.builders", "dataclasses", "inspect"}
+
+
+# the other command kinds of the benchmark's cli session, on the 4-bit ripple adder
+SESSION = {
+    "build": lambda path, width: ["build", "ripple4", "-o", path],
+    "compare": lambda path, width: ["compare", path, "--with-literature", "--json"],
+    "check-adder": lambda path, width: ["check-adder", path, "--kind", "ripple4"],
+    "sim": lambda path, width: ["sim", path, "--exhaustive"],
+    "inverse": lambda path, width: ["inverse", path, "--out", "0" * width],
+}
+
+
+@pytest.mark.parametrize("argv", SESSION.values(), ids=SESSION)
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    ripple = build_ripple_adder()
+    path = tmp_path / "ripple4.net"
+    path.write_text(serialize_netlist(ripple))
+    width = len(ripple.primary_inputs) + len(ripple.constants)
+    proc = python("-X", "importtime", "-m", "revlogic.cli", *argv(str(path), width))
+    assert proc.returncode == 0, proc.stderr
+    assert not imported(proc.stderr) & {"dataclasses", "inspect"}
 
 
 REPORT = MetricsReport(gate_count=1, gates={"FG": 1}, quantum_cost=1, garbage=0, constants=0, logical=LogicCost(1))
@@ -136,3 +166,101 @@ def test_record_defaults():
     for cls, _fields in RECORDS:
         if cls is not Violation:
             assert cls._field_defaults == {}
+
+
+def use_caches(obj):
+    """Fill every cache the object has."""
+    if isinstance(obj, GateDefinition):
+        obj.anf, obj.inverse_table  # noqa: B018
+    elif not isinstance(obj, LogicCost):
+        validate(obj)
+        run(obj, dict.fromkeys(obj.primary_inputs, 0))
+
+
+# (factory, field names, repr text or the SHA-256 of a long one, caches that pickles leave out)
+IMMUTABLES = {
+    "LogicCost": (lambda: LogicCost(5, 2, 0), ("xors", "ands", "nots"), "LogicCost(xors=5, ands=2, nots=0)", ()),
+    "builtin": (
+        lambda: builtin("PFAG"),
+        ("name", "arity", "table", "quantum_cost", "logic_cost"),
+        "GateDefinition(name='PFAG', arity=4, table=(0, 1, 2, 3, 6, 7, 5, 4, 14, 15, 13, 12, 9, 8, 11, 10), "
+        "quantum_cost=8, logic_cost=LogicCost(xors=5, ands=2, nots=0))",
+        (),
+    ),
+    "from_table": (
+        lambda: GateDefinition.from_table("SWAP", [[0, 0], [1, 0], [0, 1], [1, 1]], 3),
+        ("name", "arity", "table", "quantum_cost", "logic_cost"),
+        "GateDefinition(name='SWAP', arity=2, table=(0, 2, 1, 3), quantum_cost=3, logic_cost=LogicCost(xors=0, ands=0, nots=0))",
+        (),
+    ),
+    "Netlist": (
+        lambda: build_bcd_adder("bcd2"),
+        ("name", "primary_inputs", "constants", "gates", "primary_outputs"),
+        "sha256:a6a5f6d179997774de965fd0f77af6f871a3bb7c1a1eb3cb7a64614e98263283",
+        ("_checked", "_plan"),
+    ),
+}
+
+
+@pytest.mark.parametrize("factory, names, expected_repr, caches", IMMUTABLES.values(), ids=IMMUTABLES)
+def test_immutable_classes_keep_their_dataclass_behaviour(factory, names, expected_repr, caches):
+    obj = factory()
+    cls = type(obj)
+    values = tuple(getattr(obj, name) for name in names)
+    assert cls(*values) == obj == cls(**dict(zip(names, values)))
+    assert not obj != cls(*values)
+    assert obj != values and obj.__eq__(values) is NotImplemented
+    assert obj != LogicCost(9) and obj.__eq__(object()) is NotImplemented
+    assert hash(obj) == hash(values)
+    text = repr(obj)
+    assert expected_repr in (text, "sha256:" + hashlib.sha256(text.encode()).hexdigest())
+
+    use_caches(obj)
+    assert repr(obj) == text and hash(obj) == hash(values)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(obj, protocol))
+        assert type(loaded) is cls and loaded == obj and repr(loaded) == text
+        assert not set(caches) & set(vars(loaded))
+    for twin in (copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is cls and twin == obj
+
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert tuple(getattr(obj, name) for name in names) == values
+
+    assert dataclasses.is_dataclass(obj)
+    assert tuple(f.name for f in dataclasses.fields(obj)) == names
+    assert dataclasses.replace(obj) == obj
+    other = values[0] + 1 if cls is LogicCost else "other"
+    changed = dataclasses.replace(obj, **{names[0]: other})
+    assert type(changed) is cls and changed != obj
+    assert tuple(getattr(changed, name) for name in names) == (other, *values[1:])
+    assert list(dataclasses.asdict(obj)) == list(names)
+
+
+# a frozen dataclass pickled a gate's anf and inverse_table once they were built; now no cache is pickled
+@pytest.mark.parametrize("factory, names, expected_repr, caches", IMMUTABLES.values(), ids=IMMUTABLES)
+def test_pickles_hold_the_fields_alone(factory, names, expected_repr, caches):
+    obj = factory()
+    use_caches(obj)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert list(vars(pickle.loads(pickle.dumps(obj, protocol)))) == list(names)
+
+
+def test_copy_replace_protocol():
+    # copy.replace (Python 3.13 on) calls __replace__, which a frozen dataclass defines there
+    assert LogicCost(5, 2, 0).__replace__(nots=1) == LogicCost(5, 2, 1)
+    net = build_bcd_adder("bcd2")
+    assert net.__replace__(name="other") == dataclasses.replace(net, name="other")
+
+
+def test_immutable_class_defaults():
+    assert LogicCost() == LogicCost(0, 0, 0) == LogicCost(xors=0, ands=0, nots=0)
+    gate = GateDefinition("ID", 1, [0, 1])
+    assert gate.table == (0, 1) and gate.quantum_cost is None and gate.logic_cost == LogicCost()
+    assert gate == GateDefinition(name="ID", arity=1, table=(0, 1), quantum_cost=None, logic_cost=LogicCost())
+    assert dataclasses.asdict(LogicCost(5, 2, 0)) == {"xors": 5, "ands": 2, "nots": 0}
+    assert dataclasses.asdict(gate)["logic_cost"] == {"xors": 0, "ands": 0, "nots": 0}

@@ -14,6 +14,7 @@ from revlogic import (
     GateDefinition,
     GateInstance,
     InvalidNetlistError,
+    LogicCost,
     Netlist,
     NetlistParseError,
     analyze,
@@ -29,6 +30,7 @@ from revlogic import (
     serialize_netlist,
     validate,
 )
+from revlogic.gates import MAX_COST
 from helpers import random_netlist
 
 MINIMAL = """\
@@ -164,12 +166,20 @@ def test_parse_with_declared_gate():
     assert serialize_netlist(n) == text
     # a gate is known to the document that declares it, and to no other
     assert diagnostics_of(text.replace(define, ""))[0][:3] == (3, 1, "unknown-gate")
-    # counts are ASCII digits only, though int() takes all of these
-    for count in ("+3", "٣", "3_0"):
+    # counts are ASCII digits only, though int() takes all of these, and at most MAX_COST
+    for count in ("+3", "٣", "3_0", str(MAX_COST + 1)):
         for at in range(2, 6):
             tokens = define.split()
             tokens[at] = count
             assert diagnostics_of(text.replace(define, " ".join(tokens) + "\n"))[0][:3] == (2, 1, "bad-gate-definition")
+
+
+def test_counts_at_the_bound_round_trip():
+    gate = GateDefinition("X", 1, (1, 0), MAX_COST, LogicCost(MAX_COST, MAX_COST, MAX_COST))
+    n = Netlist("c", ("a",), (), (GateInstance(gate, ("a",), ("p",)),), ("p",))
+    text = serialize_netlist(n)
+    assert f"define X {MAX_COST} {MAX_COST} {MAX_COST} {MAX_COST} 1 0\n" in text
+    assert parse_netlist(text) == n
 
 
 def test_serialize_rejects_invalid_netlist():
