@@ -163,6 +163,21 @@ def bits_to_int(bits: Sequence[int]) -> int:
     return value
 
 
+def _anf(table: Sequence[int], arity: int) -> tuple[tuple[int, ...], ...]:
+    """Algebraic normal form of each output line of ``table``, as ``GateDefinition.anf`` describes."""
+    coeffs = list(table)
+    # Möbius transform over GF(2); the output lines ride in parallel as the bits of each word
+    for bit in range(arity):
+        step = 1 << bit
+        for pattern in range(len(coeffs)):
+            if pattern & step:
+                coeffs[pattern] ^= coeffs[pattern ^ step]
+    return tuple(
+        tuple(mono for mono, word in enumerate(coeffs) if word >> shift & 1)
+        for shift in reversed(range(arity))
+    )
+
+
 class GateDefinition(_Immutable):
     """A named k-line bijection with cost metadata.
 
@@ -210,17 +225,12 @@ class GateDefinition(_Immutable):
         input-pattern bits (the first input line is the most significant
         bit) and stands for the AND of those lines, 0 for the constant 1.
         """
-        coeffs = list(self.table)
-        # Möbius transform over GF(2); the output lines ride in parallel as the bits of each word
-        for bit in range(self.arity):
-            step = 1 << bit
-            for pattern in range(len(coeffs)):
-                if pattern & step:
-                    coeffs[pattern] ^= coeffs[pattern ^ step]
-        return tuple(
-            tuple(mono for mono, word in enumerate(coeffs) if word >> shift & 1)
-            for shift in reversed(range(self.arity))
-        )
+        return _anf(self.table, self.arity)
+
+    @cached_property
+    def inverse_anf(self) -> tuple[tuple[int, ...], ...]:
+        """``anf`` of ``inverse_table``: each input line as a polynomial in the output lines."""
+        return _anf(self.inverse_table, self.arity)
 
     def apply(self, bits: Sequence[int]) -> list[int]:
         """Map an input bit vector to the gate's output bit vector."""

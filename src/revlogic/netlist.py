@@ -215,10 +215,10 @@ class _Plan:
     Each wire's slot is its index in the definition order that validation
     recorded, so the primary inputs fill the first slots and the constants
     the next ones.  Gate ``i`` is ``gates[i]``, reading ``in_slots[i]``
-    and writing ``out_slots[i]``: the scalar kernel applies its ``table``
-    forwards and its ``inverse_table`` backwards, the block engine its
-    ``anf``, compiled per gate kind; ``kernel_steps`` holds each gate's
-    kernel beside its slots once the block engine has first run.
+    and writing ``out_slots[i]``.  ``run`` and the block engine apply it
+    forwards through its ``anf``, ``run_inverse`` backwards through its
+    ``inverse_anf``, each compiled per gate kind; ``kernel_steps`` holds
+    each gate's forward kernel beside its slots once either has first run.
     """
 
     def __init__(self, netlist: Netlist, garbage: tuple[str, ...], order: tuple[str, ...]) -> None:

@@ -12,12 +12,15 @@ Every engine reads that one plan: each gate's definition with its input
 and output slots.  A wire's slot is its place in the definition order
 that validation recorded, so the primary inputs fill the first slots and
 the constants the next ones: ``run`` and the block engine write the
-sources there, and ``run_inverse`` reads them back from there.  ``run``
-and ``run_inverse`` share one scalar kernel, one pattern at a time.
-Forwards it applies each gate's ``table`` from input to output slots in
-gate order; backwards, because every gate is a bijection, it applies
-each ``inverse_table`` from output to input slots in reverse order and
-so recovers the source lines.
+sources there, and ``run_inverse`` reads them back from there.  Every
+engine applies gates through one gate loop over compiled ANF kernels,
+described below.  ``run`` passes one pattern as 0/1 ints, with 1 as
+``one``, and applies each gate's ``anf`` kernel from input to output
+slots in gate order.  Because every gate is a bijection, ``run_inverse``
+applies each gate's ``inverse_anf`` kernel (the normal form of its
+``inverse_table``) from output to input slots in reverse order, and so
+recovers the source lines.  It looks each distinct gate object's
+inverse kernel up once per call, not once per gate.
 
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
@@ -31,8 +34,8 @@ memory.  Each gate kind's ANF is compiled once into straight-line code,
 one function per kind, whose source is built from ints only (slot
 positions and monomial masks), never from a name or other document
 text.  The compiled kernels sit in a bounded cache keyed by ANF, and
-each plan looks its gates' kernels up once.  The gate loop uses only
-``^``, ``&`` and a supplied one, so it runs over any Boolean ring.
+each plan looks its gates' forward kernels up once.  The gate loop uses
+only ``^``, ``&`` and a supplied one, so it runs over any Boolean ring.
 
 ``truth_table`` runs the block engine over every block in the call and
 keeps only the primary-output and garbage columns: (outputs + garbage)
@@ -94,28 +97,12 @@ class Counterexample(NamedTuple):
     actual: tuple[int, ...]
 
 
-def _propagate(values: list[int], moves: Iterable[tuple[Sequence[int], Sequence[int], Sequence[int]]]) -> None:
-    """Apply each (table, source slots, destination slots) move to ``values`` in turn.
-
-    The source bits, first slot most significant, index the table; the
-    entry's bits are written to the destination slots in the same order.
-    """
-    for table, sources, destinations in moves:
-        pattern = 0
-        for slot in sources:
-            pattern = (pattern << 1) | values[slot]
-        out = table[pattern]
-        shift = len(destinations) - 1
-        for slot in destinations:
-            values[slot] = (out >> shift) & 1
-            shift -= 1
-
-
 def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, int]) -> None:
-    missing = [w for w in wires if w not in assignment]
-    expected = set(wires)
-    extra = [w for w in assignment if w not in expected]
-    if missing or extra:
+    # the wires are distinct, so equal sizes and every wire bound leave no stray key; lists only on failure
+    if not (len(assignment) == len(wires) and all(map(assignment.__contains__, wires))):
+        missing = [w for w in wires if w not in assignment]
+        expected = set(wires)
+        extra = [w for w in assignment if w not in expected]
         parts = []
         if missing:
             parts.append(f"missing {kind} bindings: {', '.join(missing)}")
@@ -141,7 +128,7 @@ def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
     values = [inputs[w] for w in netlist.primary_inputs]
     values += plan.const_bits
     values += [0] * (len(plan.slots) - len(values))
-    _propagate(values, zip(map(attrgetter("table"), plan.gates), plan.in_slots, plan.out_slots))
+    _apply_gates(plan, values, 1)
     all_lines = dict(zip(plan.slots, values))
     primary = {wire: all_lines[wire] for wire in netlist.primary_outputs}
     garbage = {wire: all_lines[wire] for wire in plan.garbage_wires}
@@ -161,8 +148,13 @@ def run_inverse(netlist: Netlist, terminal: Mapping[str, int]) -> dict[str, int]
     values = [0] * len(slots)
     for wire, bit in terminal.items():
         values[slots[wire]] = bit
-    inverses = map(attrgetter("inverse_table"), reversed(plan.gates))
-    _propagate(values, zip(inverses, reversed(plan.out_slots), reversed(plan.in_slots)))
+    # one kernel lookup per distinct gate object, not per gate: hashing every gate's ANF costs what the kernels save;
+    # the steps are not kept on the plan, since listing them costs a first call more than it saves
+    gates = plan.gates
+    distinct = dict(zip(map(id, gates), gates))
+    kernels = {key: _anf_kernel(gate.inverse_anf) for key, gate in distinct.items()}
+    inverses = map(kernels.__getitem__, map(id, reversed(gates)))
+    _run_steps(zip(inverses, reversed(plan.out_slots), reversed(plan.in_slots)), values, 1)
     sources = len(netlist.primary_inputs) + len(plan.const_bits)
     return dict(zip(slots, values[:sources]))
 
@@ -249,16 +241,21 @@ def _apply_gates(plan: _Plan, values: list, one) -> None:
     """Apply every gate of ``plan`` to ``values`` in gate order, each through its kind's ANF kernel.
 
     ``values`` holds one value per slot, with the sources filled in.  Only
-    ``^``, ``&`` and ``one`` touch them, so any Boolean ring serves: the
-    block engine passes int columns and the all-ones column.  The kernels
-    are looked up once per plan.
+    ``^``, ``&`` and ``one`` touch them, so any Boolean ring serves: ``run``
+    passes bits and 1, the block engine int columns and the all-ones
+    column.  The kernels are looked up once per plan.
     """
     steps = plan.kernel_steps
     if steps is None:
         kernels = map(_anf_kernel, map(attrgetter("anf"), plan.gates))
         steps = plan.kernel_steps = list(zip(kernels, plan.in_slots, plan.out_slots))
-    for kernel, ins, outs in steps:
-        kernel(values, ins, outs, one)
+    _run_steps(steps, values, one)
+
+
+def _run_steps(steps: Iterable[tuple[Callable, Sequence[int], Sequence[int]]], values: list, one) -> None:
+    """The one gate loop: call each (kernel, read slots, write slots) step on ``values`` in turn."""
+    for kernel, reads, writes in steps:
+        kernel(values, reads, writes, one)
 
 
 def _block_columns(plan: _Plan, width: int) -> Iterator[tuple[int, list[int]]]:

@@ -171,7 +171,7 @@ def test_record_defaults():
 def use_caches(obj):
     """Fill every cache the object has."""
     if isinstance(obj, GateDefinition):
-        obj.anf, obj.inverse_table  # noqa: B018
+        obj.anf, obj.inverse_table, obj.inverse_anf  # noqa: B018
     elif not isinstance(obj, LogicCost):
         validate(obj)
         run(obj, dict.fromkeys(obj.primary_inputs, 0))

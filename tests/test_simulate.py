@@ -167,6 +167,20 @@ def test_round_trip_identity_random_netlists(seed):
     assert all(recovered[w] == bit for w, bit in n.constants)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_run_inverse_undoes_run_gate_by_gate(seed):
+    rng = random.Random(seed)
+    n = random_netlist(rng, max_gates=12)
+    assignment = {w: rng.randint(0, 1) for w in n.primary_inputs}
+    result = run(n, assignment)
+    sources = dict(assignment, **dict(n.constants))
+    assert run_inverse(n, result.terminals) == sources
+    lines = result.all_lines
+    for inst in n.gates:
+        assert [lines[w] for w in inst.inputs] == inst.gate.invert([lines[w] for w in inst.outputs])
+
+
 def test_run_is_deterministic():
     n, assignment = ripple_inputs(9, 6, 1)
     assert run(n, assignment).all_lines == run(n, assignment).all_lines
@@ -284,6 +298,21 @@ def test_binding_errors_name_the_wire_on_a_large_chain():
         run_inverse(n, {w: b for w, b in terminals.items() if w != lost})
     with pytest.raises(ValueError, match="unexpected bindings: stray$"):
         run_inverse(n, dict(terminals, stray=1))
+
+
+def test_a_same_size_binding_with_a_stray_wire_names_both():
+    n = build_ripple_adder()
+    inputs = dict.fromkeys(n.primary_inputs, 0)
+    terminals = run(n, inputs).terminals
+    swapped = {w: b for w, b in inputs.items() if w != "cin"}
+    with pytest.raises(ValueError) as error:
+        run(n, dict(swapped, stray=0))
+    assert str(error.value) == "missing input bindings: cin; unexpected bindings: stray"
+    lost = next(reversed(terminals))
+    swapped = {w: b for w, b in terminals.items() if w != lost}
+    with pytest.raises(ValueError) as error:
+        run_inverse(n, dict(swapped, stray=1))
+    assert str(error.value) == f"missing terminal bindings: {lost}; unexpected bindings: stray"
 
 
 # --- the bit-sliced sweep against the scalar engine and the gate definitions ---
@@ -711,6 +740,32 @@ def test_anf_kernel_reproduces_the_gate_table(gate):
         for slot in outs:
             word = word << 1 | values[slot] >> pattern & 1
         assert word == gate.table[pattern]
+
+
+@pytest.mark.parametrize("gate", KERNEL_GATES, ids=lambda gate: gate.name)
+def test_inverse_anf_kernel_reproduces_the_inverse_table(gate):
+    size = 1 << gate.arity
+    values = [*simulate._low_columns(size), *[0] * gate.arity]  # slot b holds pattern bit b
+    ins = tuple(reversed(range(gate.arity)))  # the first line is the most significant bit
+    outs = tuple(range(gate.arity, 2 * gate.arity))
+    simulate._anf_kernel(gate.inverse_anf)(values, ins, outs, (1 << size) - 1)
+    for pattern in range(size):
+        word = 0
+        for slot in outs:
+            word = word << 1 | values[slot] >> pattern & 1
+        assert word == gate.inverse_table[pattern]
+
+
+def test_run_and_run_inverse_compile_once_per_normal_form():
+    text = chain_text(3)
+    n = parse_netlist(text)
+    # an involution such as FG has one normal form both ways, so one kernel serves both directions
+    forms = {inst.gate.anf for inst in n.gates} | {inst.gate.inverse_anf for inst in n.gates}
+    simulate._anf_kernel.cache_clear()
+    for netlist in (n, parse_netlist(text)):  # the second parse has a plan of its own
+        result = run(netlist, dict.fromkeys(netlist.primary_inputs, 0))
+        run_inverse(netlist, result.terminals)
+        assert simulate._anf_kernel.cache_info().misses == len(forms)
 
 
 def test_equal_tables_share_one_kernel():
