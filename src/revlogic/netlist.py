@@ -15,15 +15,23 @@ are the garbage outputs.  Netlists are immutable after construction
 (``Netlist`` is a plain class on ``gates._Immutable``, so it behaves as
 a frozen dataclass without importing ``dataclasses``), so each one is
 checked at most once and compiled at most once: the first query
-records its validation findings, wire order and garbage, the first
-simulation builds its evaluation plan from that order, and later calls
-read them.  Neither cache shows in equality, the hash, the repr or a
-pickle.
+records its validation findings, garbage and wire numbering (each
+wire's index in definition order), the first simulation builds its
+evaluation plan on that numbering, and later calls read them.  Neither
+cache shows in equality, the hash, the repr or a pickle.
+
+The check accepts in bulk and explains on refusal.  Whole-list passes,
+run in C by ``map``, ``set``, ``zip`` and ``dict``, prove that a
+netlist has no finding at all; only a netlist they refuse is walked
+wire by wire, and that walk is the one place where findings and their
+positions are made.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate, chain, filterfalse, repeat
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from .gates import BUILTIN_GATES, GateDefinition, _Immutable, is_bit, is_identifier
@@ -77,10 +85,10 @@ class Netlist(_Immutable):
         return tuple(wire for wire, _ in self.constants)
 
     @cached_property
-    def _checked(self) -> tuple[tuple[Violation, ...], tuple[str, ...], tuple[str, ...]]:
-        """Findings, garbage and every wire in definition order (both empty when invalid), built on first use."""
-        violations, garbage, order = _check(self)
-        return tuple(violations), tuple(garbage), tuple(order)
+    def _checked(self) -> tuple[tuple[Violation, ...], tuple[str, ...], dict[str, int]]:
+        """Findings, garbage and each wire's number in definition order (both empty when invalid), built on first use."""
+        violations, garbage, slots = _check(self)
+        return tuple(violations), tuple(garbage), slots
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -120,12 +128,88 @@ class InvalidNetlistError(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-def _check(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
-    """Every finding in reading order; with no error, also the garbage and every wire in definition order.
+def _check(netlist: Netlist) -> tuple[list[Violation], list[str], dict[str, int]]:
+    """Every finding in reading order; with no error, also the garbage and each wire's number.
 
     Definition order (inputs, constants, then each gate's outputs) is the netlist's
-    one wire numbering: garbage is listed in it, and the plan's slots follow it.
+    one wire numbering: garbage is listed in it, and it is the plan's slots.
+    A netlist with no finding at all is accepted in bulk by ``_accept``; only one
+    it refuses is walked wire by wire, by ``_walk``, the one place where findings
+    and their positions are made.
     """
+    accepted = _accept(netlist)
+    if accepted is not None:
+        return [], *accepted
+    violations, garbage, order = _walk(netlist)
+    return violations, garbage, _numbered(order)
+
+
+def _numbered(order: list[str]) -> dict[str, int]:
+    """Each wire mapped to its index in ``order``: the slot numbering every engine shares."""
+    return dict(zip(order, range(len(order))))
+
+
+def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int]] | None:
+    """The garbage and the numbered definition order when ``_walk`` would find nothing at all, else None.
+
+    Whole-list passes only, each in C: the defined names are exact ``str``
+    identifiers (a ``str`` subclass is left to the walk) and distinct; the
+    constant bits are the ints 0 and 1; each distinct gate object means
+    what its name means in the netlist and has as many inputs and outputs
+    as lines; every read (gate inputs, then primary outputs) names a
+    defined wire, and a gate's reads come before its first output in
+    definition order; every constant is read; and line conservation
+    holds, which here means that no wire is read twice.
+    """
+    if not is_identifier(netlist.name):
+        return None
+    insts, outputs = netlist.gates, netlist.primary_outputs
+    gates = list(map(attrgetter("gate"), insts))
+    ins = list(map(attrgetter("inputs"), insts))
+    outs = list(map(attrgetter("outputs"), insts))
+    bits = list(map(itemgetter(1), netlist.constants))
+    order = [*netlist.primary_inputs, *map(itemgetter(0), netlist.constants), *chain.from_iterable(outs)]
+    if not (
+        set(map(type, order)) <= {str}
+        and "".join(order).isascii()
+        and all(map(str.isidentifier, order))
+        and set(map(type, bits)) <= {int}
+        and set(bits) <= {0, 1}
+    ):
+        return None
+    slots = _numbered(order)
+    if len(slots) != len(order):  # a wire defined twice
+        return None
+    meaning = dict(BUILTIN_GATES)
+    for gate in dict(zip(map(id, gates), gates)).values():  # each distinct gate object once, in order of first use
+        meant = meaning.setdefault(gate.name, gate)
+        if meant is not gate and meant != gate:
+            return None
+    arities = list(map(attrgetter("arity"), gates))
+    if not list(map(len, ins)) == arities == list(map(len, outs)):
+        return None
+    try:
+        reads = list(map(slots.__getitem__, [*chain.from_iterable(ins), *outputs]))
+    except (KeyError, TypeError):  # an undefined or unhashable read
+        return None
+    consumed = set(reads)
+    sources = len(netlist.primary_inputs) + len(bits)
+    # gate outputs are numbered in gate order, so gate i's first output slot is sources plus the arities before it
+    firsts = accumulate(arities, initial=sources)
+    if not (
+        all(map(lt, reads, chain.from_iterable(map(repeat, firsts, arities))))
+        and consumed.issuperset(range(len(netlist.primary_inputs), sources))
+    ):
+        return None
+    garbage = list(map(order.__getitem__, filterfalse(consumed.__contains__, range(len(order)))))
+    # with every read defined and the arities right, line conservation holds exactly when no wire is read twice
+    if sources != len(outputs) + len(garbage):
+        return None
+    return garbage, slots
+
+
+def _walk(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
+    """``_check`` wire by wire: every finding with its position, and the definition order as a list."""
     violations: list[Violation] = []
 
     def report(rule, message, wire=None, gate_index=None, position=None, severity="error"):
@@ -213,25 +297,37 @@ class _Plan:
     """The one compiled schedule of a valid netlist, read by every engine.
 
     Each wire's slot is its index in the definition order that validation
-    recorded, so the primary inputs fill the first slots and the constants
-    the next ones.  Gate ``i`` is ``gates[i]``, reading ``in_slots[i]``
-    and writing ``out_slots[i]``.  ``run`` and the block engine apply it
-    forwards through its ``anf``, ``run_inverse`` backwards through its
-    ``inverse_anf``, each compiled per gate kind; ``kernel_steps`` holds
-    each gate's forward kernel beside its slots once either has first run.
+    recorded, so the primary inputs fill the first slots, the constants
+    the next ones, and each gate's outputs the consecutive slots after
+    the gates before it.  Gate ``i`` is ``gates[i]``, reading
+    ``in_slots[i]`` and writing ``out_slots[i]``: the read slots come
+    from one lookup over all gate inputs and the write slots from one
+    range, each split by arity.  ``run`` and the block engine apply gates
+    forwards through their ``anf``, ``run_inverse`` backwards through
+    their ``inverse_anf``, each compiled per gate kind; ``kernel_steps``
+    holds each gate's forward kernel beside its slots once either has
+    first run.
     """
 
-    def __init__(self, netlist: Netlist, garbage: tuple[str, ...], order: tuple[str, ...]) -> None:
-        self.slots = slots = dict(zip(order, range(len(order))))
-        self.const_bits = tuple(bit for _wire, bit in netlist.constants)
-        self.gates = tuple(inst.gate for inst in netlist.gates)
-        self.in_slots = [tuple(map(slots.__getitem__, inst.inputs)) for inst in netlist.gates]
-        self.out_slots = [tuple(map(slots.__getitem__, inst.outputs)) for inst in netlist.gates]
+    def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int]) -> None:
+        self.slots = slots
+        self.const_bits = tuple(map(itemgetter(1), netlist.constants))
+        self.gates = tuple(map(attrgetter("gate"), netlist.gates))
+        arities = list(map(attrgetter("arity"), self.gates))
+        reads = tuple(map(slots.__getitem__, chain.from_iterable(map(attrgetter("inputs"), netlist.gates))))
+        self.in_slots = _split(reads, arities)
+        self.out_slots = _split(tuple(range(len(slots) - len(reads), len(slots))), arities)
         self.po_slots = tuple(map(slots.__getitem__, netlist.primary_outputs))
         self.garbage_wires = garbage
         self.garbage_slots = tuple(map(slots.__getitem__, garbage))
         self.terminal_wires = netlist.primary_outputs + garbage
         self.kernel_steps: list | None = None  # set by simulate, which this module does not import
+
+
+def _split(flat: tuple[int, ...], sizes: Iterable[int]) -> list[tuple[int, ...]]:
+    """``flat`` cut into consecutive tuples of the given sizes."""
+    ends = list(accumulate(sizes, initial=0))
+    return list(map(flat.__getitem__, map(slice, ends, ends[1:])))
 
 
 def validate(netlist: Netlist) -> list[Violation]:

@@ -34,8 +34,9 @@ memory.  Each gate kind's ANF is compiled once into straight-line code,
 one function per kind, whose source is built from ints only (slot
 positions and monomial masks), never from a name or other document
 text.  The compiled kernels sit in a bounded cache keyed by ANF, and
-each plan looks its gates' forward kernels up once.  The gate loop uses
-only ``^``, ``&`` and a supplied one, so it runs over any Boolean ring.
+each plan looks its forward kernels up once, one lookup per distinct
+gate object.  The gate loop uses only ``^``, ``&`` and a supplied one,
+so it runs over any Boolean ring.
 
 ``truth_table`` runs the block engine over every block in the call and
 keeps only the primary-output and garbage columns: (outputs + garbage)
@@ -59,7 +60,7 @@ from itertools import chain, islice, product, repeat
 from operator import attrgetter, eq, index
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .gates import is_bit
+from .gates import GateDefinition, is_bit
 from .netlist import Netlist, _Plan
 
 DEFAULT_INPUT_LIMIT = 20
@@ -148,12 +149,9 @@ def run_inverse(netlist: Netlist, terminal: Mapping[str, int]) -> dict[str, int]
     values = [0] * len(slots)
     for wire, bit in terminal.items():
         values[slots[wire]] = bit
-    # one kernel lookup per distinct gate object, not per gate: hashing every gate's ANF costs what the kernels save;
     # the steps are not kept on the plan, since listing them costs a first call more than it saves
-    gates = plan.gates
-    distinct = dict(zip(map(id, gates), gates))
-    kernels = {key: _anf_kernel(gate.inverse_anf) for key, gate in distinct.items()}
-    inverses = map(kernels.__getitem__, map(id, reversed(gates)))
+    kernels = _kernels(plan.gates, attrgetter("inverse_anf"))
+    inverses = map(kernels.__getitem__, map(id, reversed(plan.gates)))
     _run_steps(zip(inverses, reversed(plan.out_slots), reversed(plan.in_slots)), values, 1)
     sources = len(netlist.primary_inputs) + len(plan.const_bits)
     return dict(zip(slots, values[:sources]))
@@ -243,13 +241,24 @@ def _apply_gates(plan: _Plan, values: list, one) -> None:
     ``values`` holds one value per slot, with the sources filled in.  Only
     ``^``, ``&`` and ``one`` touch them, so any Boolean ring serves: ``run``
     passes bits and 1, the block engine int columns and the all-ones
-    column.  The kernels are looked up once per plan.
+    column.  The kernels are looked up once per plan, and there once per
+    distinct gate object.
     """
     steps = plan.kernel_steps
     if steps is None:
-        kernels = map(_anf_kernel, map(attrgetter("anf"), plan.gates))
-        steps = plan.kernel_steps = list(zip(kernels, plan.in_slots, plan.out_slots))
+        kernels = _kernels(plan.gates, attrgetter("anf"))
+        steps = plan.kernel_steps = list(zip(map(kernels.__getitem__, map(id, plan.gates)), plan.in_slots, plan.out_slots))
     _run_steps(steps, values, one)
+
+
+def _kernels(gates: Sequence[GateDefinition], normal_form: Callable[[GateDefinition], tuple]) -> dict[int, Callable]:
+    """The kernel of ``normal_form(gate)`` for each distinct gate object, keyed by its id.
+
+    One cache lookup per distinct gate object, not per gate: hashing every
+    gate's ANF costs what the kernels save.
+    """
+    distinct = dict(zip(map(id, gates), gates))
+    return {key: _anf_kernel(normal_form(gate)) for key, gate in distinct.items()}
 
 
 def _run_steps(steps: Iterable[tuple[Callable, Sequence[int], Sequence[int]]], values: list, one) -> None:

@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import revlogic.netlist
@@ -13,12 +13,16 @@ from revlogic import (
     GateInstance,
     InvalidNetlistError,
     Netlist,
+    NetlistParseError,
+    ParseDiagnostic,
     analyze,
     build_bcd_adder,
+    build_bcd_chain,
     builtin,
     check_equivalence,
     garbage_wires,
     is_valid,
+    parse_netlist,
     require_valid,
     run,
     run_inverse,
@@ -26,8 +30,8 @@ from revlogic import (
     truth_table,
     validate,
 )
-from revlogic.gates import is_identifier
-from helpers import bcd_digit_domain, bcd_digit_oracle, random_netlist
+from revlogic.gates import GateDefinition, is_identifier
+from helpers import GATE_POOL, bcd_digit_domain, bcd_digit_oracle, random_netlist
 
 FG = builtin("FG")
 PFAG = builtin("PFAG")
@@ -261,6 +265,29 @@ def test_plan_numbers_wires_in_definition_order(seed):
     assert list(n._plan.slots.items()) == [(wire, slot) for slot, wire in enumerate(order)]
     consumed = {w for inst in n.gates for w in inst.inputs}.union(n.primary_outputs)
     assert garbage_wires(n) == [w for w in order if w not in consumed]
+    slot = {wire: k for k, wire in enumerate(order)}
+    assert n._plan.in_slots == [tuple(slot[w] for w in inst.inputs) for inst in n.gates]
+    assert n._plan.out_slots == [tuple(slot[w] for w in inst.outputs) for inst in n.gates]
+
+
+def test_fan_out_deep_in_a_long_chain_is_placed_by_the_walk():
+    built = build_bcd_chain(1000)
+    text = serialize_netlist(built)
+    index = next(i for i, inst in enumerate(built.gates) if inst.outputs[0].startswith("d500_"))
+    inst = built.gates[index]
+    gates = list(built.gates)
+    gates[index] = inst._replace(inputs=(inst.inputs[0], inst.inputs[0], *inst.inputs[2:]))  # its first read twice
+    [found] = revlogic.netlist._walk(dataclasses.replace(built, gates=gates))[0]
+    assert (found.rule, found.gate_index, found.position) == ("fan-out", index, 1)
+    lines = text.split("\n")
+    line = [k for k, row in enumerate(lines, 1) if row.startswith("gate ")][index]
+    tokens = lines[line - 1].split()
+    tokens[3] = tokens[2]  # gate NAME IN0 IN1 ...: the same edit in the text
+    lines[line - 1] = " ".join(tokens)
+    with pytest.raises(NetlistParseError) as caught:
+        parse_netlist("\n".join(lines))
+    diagnostic = ParseDiagnostic(line, 2 + found.position, found.rule, found.message)
+    assert caught.value.diagnostics == [diagnostic]
 
 
 def free_sources(n: Netlist) -> Netlist:
@@ -408,3 +435,103 @@ def test_names_of_any_type_get_findings(name, inputs, outs, primary_outputs):
         assert not is_valid(n)
         with pytest.raises(InvalidNetlistError):
             serialize_netlist(n)
+
+
+class SubName(str):
+    """A ``str`` subclass: the walk takes it as a name; the bulk pass leaves such a name to the walk."""
+
+
+EDITS = (
+    "none",
+    "redefined",
+    "bad name",
+    "self or later read",
+    "duplicated read",
+    "bad output",
+    "bad bit",
+    "unused constant",
+    "arity mismatch",
+    "gate name clash",
+    "subclass definition",
+    "subclass read",
+)
+
+
+def single_edit(n: Netlist, rng: random.Random, edit: str) -> Netlist:
+    """``n`` with one edit of the given kind; all kinds but "none" and the two subclass ones mostly break a rule."""
+    inputs, outputs = list(n.primary_inputs), list(n.primary_outputs)
+    wires, bits = list(n.constant_wires), [bit for _, bit in n.constants]
+    gates = [[inst.gate, list(inst.inputs), list(inst.outputs)] for inst in n.gates]
+    sites = [(inputs, k) for k in range(len(inputs))] + [(wires, k) for k in range(len(wires))]
+    sites += [(outs, k) for _, _, outs in gates for k in range(len(outs))]
+    reads = [(ins, k) for _, ins, _ in gates for k in range(len(ins))] + [(outputs, k) for k in range(len(outputs))]
+    if edit == "redefined":
+        seq, k = rng.choice(sites)
+        seq[k] = rng.choice([seq2[k2] for seq2, k2 in sites if seq2[k2] != seq[k]])
+    elif edit == "bad name":
+        seq, k = rng.choice(sites)
+        old, new = seq[k], rng.choice([None, 7, b"w", "w\u0175", "1w"])
+        for seq2, k2 in sites + reads:
+            if seq2[k2] == old:
+                seq2[k2] = new
+    elif edit == "self or later read":
+        index = rng.randrange(len(gates))
+        later = [w for _, _, outs in gates[index:] for w in outs]
+        ins = gates[index][1]
+        ins[rng.randrange(len(ins))] = rng.choice(later)
+    elif edit == "duplicated read":
+        seq, k = rng.choice(reads)
+        others = [(seq2, k2) for seq2, k2 in reads if (seq2, k2) != (seq, k)]
+        if others:
+            seq2, k2 = rng.choice(others)
+            seq2[k2] = seq[k]
+        else:
+            outputs.append(seq[k])
+    elif edit == "bad output":
+        outputs.append(rng.choice(outputs) if outputs and rng.random() < 0.5 else "nowhere")
+    elif edit == "bad bit":
+        if not bits:
+            wires.append("spare")
+            bits.append(0)
+        bits[rng.randrange(len(bits))] = rng.choice([2, True])
+    elif edit == "unused constant":
+        wires.append("spare")
+        bits.append(rng.randint(0, 1))
+    elif edit == "arity mismatch":
+        _, ins, outs = rng.choice(gates)
+        if rng.random() < 0.5:
+            ins.pop()
+        else:
+            outs.append("extra")
+    elif edit == "gate name clash":
+        entry = rng.choice(gates)
+        name = rng.choice([g.name for g, _, _ in gates] + list(GATE_POOL))
+        table = list(range(1 << entry[0].arity))
+        rng.shuffle(table)
+        entry[0] = GateDefinition(name, entry[0].arity, table)
+    elif edit == "subclass definition":
+        seq, k = rng.choice(sites)
+        seq[k] = SubName(seq[k])
+    elif edit == "subclass read":
+        seq, k = rng.choice(reads)
+        seq[k] = SubName(seq[k])
+    return Netlist(n.name, inputs, zip(wires, bits), [GateInstance(*entry) for entry in gates], outputs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(EDITS))
+def test_bulk_acceptance_agrees_with_the_walk(seed, edit):
+    rng = random.Random(seed)
+    n = random_netlist(rng)
+    assume(n.gates)
+    n = single_edit(n, rng, edit)
+    violations, garbage, order = revlogic.netlist._walk(n)
+    defined = [*n.primary_inputs, *n.constant_wires, *(w for inst in n.gates for w in inst.outputs)]
+    accepted = revlogic.netlist._accept(n)
+    # the bulk pass accepts exactly the netlists with no finding, except that it leaves str subclasses to the walk
+    assert (accepted is not None) == (not violations and all(type(w) is str for w in defined))
+    if accepted is not None:
+        assert accepted[0] == garbage
+        assert list(accepted[1].items()) == [(wire, slot) for slot, wire in enumerate(order)]
+    numbered = {wire: slot for slot, wire in enumerate(order)}
+    assert revlogic.netlist._check(n) == (violations, garbage, numbered)

@@ -782,13 +782,15 @@ def test_equal_tables_share_one_kernel():
 def test_kernels_compile_once_per_gate_kind():
     n = wide_netlist()  # 14 inputs: 13 blocks per sweep
     kinds = {inst.gate.anf for inst in n.gates}
+    distinct = {id(inst.gate) for inst in n.gates}
+    assert len(distinct) < len(n.gates)
     simulate._anf_kernel.cache_clear()
     for netlist in (n, wide_netlist()):  # the second object has a plan of its own
         for _ in range(2):
             truth_table(netlist)
     info = simulate._anf_kernel.cache_info()
     assert info.misses == len(kinds)
-    assert info.hits + info.misses == 2 * len(n.gates)  # each plan looks each gate up once
+    assert info.hits + info.misses == 2 * len(distinct)  # each plan looks each distinct gate object up once
 
 
 class GF2Poly:
