@@ -13,15 +13,23 @@ at start-up; ``builders``, ``simulate`` and ``metrics`` are imported
 inside the commands that use them, and ``json`` only for ``--json``.
 ``validate`` thus loads neither the simulator nor the metrics, and no
 command loads ``dataclasses`` or ``inspect``.
+
+The command line grammar is one table, ``_COMMANDS``, which
+``_read_args`` walks argv against once and which the help and usage
+text are rendered from.  It reads every documented command line as
+the standard library's command-line parser did; flags are spelled in
+full, as no abbreviation is read.  No command loads that parser's
+module, nor the ``gettext`` and ``locale`` modules it brings.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Sequence
 
 from .netlist import Netlist, garbage_wires, validate
 from .textio import NetlistParseError, parse_netlist, serialize_netlist
@@ -57,20 +65,20 @@ def _parse_bitstring(text: str, width: int, what: str) -> list[int]:
     return [int(ch) for ch in text]
 
 
-def _max_inputs(args: argparse.Namespace) -> int:
+def _max_inputs(args: SimpleNamespace) -> int:
     from .simulate import DEFAULT_INPUT_LIMIT
 
     return DEFAULT_INPUT_LIMIT if args.max_inputs is None else args.max_inputs
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     for violation in validate(_load(args.file)):
         print(f"{violation.severity}: [{violation.rule}] {violation.message}")
     print("ok")
     return EXIT_OK
 
 
-def _cmd_sim(args: argparse.Namespace) -> int:
+def _cmd_sim(args: SimpleNamespace) -> int:
     from .simulate import TruthTableLimitError, run, truth_table
 
     netlist = _load(args.file)
@@ -101,7 +109,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_inverse(args: argparse.Namespace) -> int:
+def _cmd_inverse(args: SimpleNamespace) -> int:
     from .simulate import run_inverse
 
     netlist = _load(args.file)
@@ -119,7 +127,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: SimpleNamespace) -> int:
     from .metrics import analyze, format_gate_multiset
 
     netlist = _load(args.file)
@@ -139,7 +147,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: SimpleNamespace) -> int:
     from .builders import build_bcd_adder, build_bcd_chain, build_ripple_adder
 
     if args.design != "bcd-chain" and args.digits is not None:
@@ -164,7 +172,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_check_adder(args: argparse.Namespace) -> int:
+def _cmd_check_adder(args: SimpleNamespace) -> int:
     from .builders import adder_oracle
     from .simulate import DEFAULT_COUNTEREXAMPLE_LIMIT, TruthTableLimitError, check_equivalence
 
@@ -207,7 +215,7 @@ def _cmd_check_adder(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     from .metrics import analyze, compare
 
     reports = []
@@ -224,59 +232,241 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="revlogic", description="Reversible-logic netlist toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# One row per command: (handler, help text, positionals, options, one-of dests).
+# A positional is (name, arity, kind), its arity "1", "?" (default None) or "*"
+# (default []).  An option is (flags, dest, kind, required); a kind of None takes
+# no value and stores True (default False), any other stores its value (default
+# None).  A kind is int, a tuple of choices, or, for text, the name help shows.
+# A command line gives exactly one of the one-of dests, when a row names any.
+_COMMANDS = {
+    "validate": (_cmd_validate, "structural check; prints violations", (("file", "1", "FILE"),), (), ()),
+    "sim": (
+        _cmd_sim,
+        "forward simulation",
+        (("file", "1", "FILE"),),
+        (
+            (("--in",), "input_bits", "BITSTRING", False),
+            (("--exhaustive",), "exhaustive", None, False),
+            (("--show-garbage",), "show_garbage", None, False),
+            (("--max-inputs",), "max_inputs", int, False),  # None: simulate.DEFAULT_INPUT_LIMIT
+        ),
+        ("input_bits", "exhaustive"),
+    ),
+    "inverse": (
+        _cmd_inverse,
+        "inverse simulation from all terminal lines",
+        (("file", "1", "FILE"),),
+        ((("--out",), "output_bits", "BITSTRING", True),),
+        (),
+    ),
+    "metrics": (
+        _cmd_metrics,
+        "gate count, quantum cost, garbage, constants, logical totals",
+        (("file", "1", "FILE"),),
+        ((("--json",), "json", None, False),),
+        (),
+    ),
+    "build": (
+        _cmd_build,
+        "emit a generated netlist",
+        (("design", "1", ("ripple4", "bcd1", "bcd2", "bcd-chain")), ("digits", "?", int)),
+        ((("--carry-in",), "carry_in", ("primary", "const"), False), (("-o", "--output"), "output", "FILE", False)),
+        (),
+    ),
+    "check-adder": (
+        _cmd_check_adder,
+        "oracle equivalence check",
+        (("file", "1", "FILE"),),
+        (
+            (("--kind",), "kind", ("ripple4", "bcd", "bcd-chain"), True),
+            (("--digits",), "digits", int, False),
+            (("--max-inputs",), "max_inputs", int, False),  # None: simulate.DEFAULT_INPUT_LIMIT
+        ),
+        (),
+    ),
+    "compare": (
+        _cmd_compare,
+        "metrics comparison table",
+        (("files", "*", "FILE"),),
+        ((("--with-literature",), "with_literature", None, False), (("--json",), "json", None, False)),
+        (),
+    ),
+}
+_HELP_OPTION = (("-h", "--help"), "help", None, False)
 
-    p = sub.add_parser("validate", help="structural check; prints violations")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("sim", help="forward simulation")
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--in", dest="input_bits", metavar="BITSTRING")
-    group.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--show-garbage", action="store_true")
-    p.add_argument("--max-inputs", type=int)  # None: simulate.DEFAULT_INPUT_LIMIT
-    p.set_defaults(func=_cmd_sim)
+def _shown(kind) -> str:
+    """A value's kind as help shows it."""
+    if kind is int:
+        return "N"
+    return "{" + ",".join(kind) + "}" if type(kind) is tuple else kind
 
-    p = sub.add_parser("inverse", help="inverse simulation from all terminal lines")
-    p.add_argument("file")
-    p.add_argument("--out", dest="output_bits", metavar="BITSTRING", required=True)
-    p.set_defaults(func=_cmd_inverse)
 
-    p = sub.add_parser("metrics", help="gate count, quantum cost, garbage, constants, logical totals")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_metrics)
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: revlogic [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _handler, _text, positionals, options, one_of = _COMMANDS[name]
+    parts = ["usage: revlogic", name, "[-h]"]
+    group = []
+    for flags, dest, kind, required in options:
+        text = flags[0] if kind is None else f"{flags[0]} {_shown(kind)}"
+        if dest in one_of:
+            group.append(text)
+            if len(group) == len(one_of):
+                parts.append("(" + " | ".join(group) + ")")
+        else:
+            parts.append(text if required else f"[{text}]")
+    for _name, arity, kind in positionals:
+        shown = _shown(kind)
+        parts.append({"1": shown, "?": f"[{shown}]", "*": f"[{shown} ...]"}[arity])
+    return " ".join(parts)
 
-    p = sub.add_parser("build", help="emit a generated netlist")
-    p.add_argument("design", choices=("ripple4", "bcd1", "bcd2", "bcd-chain"))
-    p.add_argument("digits", nargs="?", type=int)
-    p.add_argument("--carry-in", dest="carry_in", choices=("primary", "const"), default=None)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("check-adder", help="oracle equivalence check")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=("ripple4", "bcd", "bcd-chain"), required=True)
-    p.add_argument("--digits", type=int)
-    p.add_argument("--max-inputs", type=int)  # None: simulate.DEFAULT_INPUT_LIMIT
-    p.set_defaults(func=_cmd_check_adder)
+def _help(name: str | None) -> str:
+    if name is None:
+        lines = [_usage(None), "", "Reversible-logic netlist toolkit.", "", "commands:"]
+        lines += [f"  {command:<12} {row[1]}" for command, row in _COMMANDS.items()]
+        lines += ["", "'revlogic COMMAND --help' lists a command's arguments. Flags are spelled in full."]
+    else:
+        _handler, text, _positionals, options, _one_of = _COMMANDS[name]
+        lines = [_usage(name), "", text, "", "options:"]
+        for flags, _dest, kind, _required in (_HELP_OPTION, *options):
+            lines.append("  " + ", ".join(flags) + ("" if kind is None else f" {_shown(kind)}"))
+    return "\n".join(lines)
 
-    p = sub.add_parser("compare", help="metrics comparison table")
-    p.add_argument("files", nargs="*")
-    p.add_argument("--with-literature", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_compare)
 
-    return parser
+def _fail(name: str | None, message: str) -> NoReturn:
+    """Refuse a malformed command line: usage and the error on stderr, then exit 2."""
+    prog = "revlogic" if name is None else f"revlogic {name}"
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _flag(token: str, flags: dict):
+    """How a token reads: None for a positional, else (the option it names or None, its attached value or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return flags[token], None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return flags[name], value
+    if token[1] != "-" and token[:2] in flags:  # -oFILE
+        return flags[token[:2]], token[2:]
+    # spaced text and negative numbers are values, as the standard parser read them;
+    # the pattern compiles on first use, which few command lines reach
+    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return None, None
+
+
+def _value(name: str, what: str, kind, token: str):
+    """The value a token gives a positional or option of this kind."""
+    if kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            _fail(name, f"argument {what}: invalid int value: {token!r}")
+    if type(kind) is tuple and token not in kind:
+        _fail(name, f"argument {what}: invalid choice: {token!r} (choose from {', '.join(kind)})")
+    return token
+
+
+def _read_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read a command line against ``_COMMANDS`` in one walk.
+
+    Returns the command as ``command``, its handler as ``func``, and
+    one attribute per positional and option.  ``-h``/``--help`` prints
+    help and raises SystemExit(0); a malformed command line prints
+    usage and an error to stderr and raises SystemExit(2).  A value is
+    checked where it stands, and what is missing or left over once the
+    walk ends, so a later ``-h`` still prints help.  Flags and
+    positionals may mix; ``--`` ends the flags, and a repeated option
+    keeps its last value.  The positionals are filled from the first
+    run of them: one past a flag that follows that run is left over.
+    """
+    name = None  # the command, once read
+    flags = dict.fromkeys(_HELP_OPTION[0], _HELP_OPTION)
+    options: tuple = ()
+    slots: list = []  # the command's positionals not yet filled
+    one_of: set[str] = set()
+    given: set[str] = set()
+    surplus: list[str] = []
+    started = ended = False  # the run of positionals that fills the slots
+    reading_flags = True
+    args = SimpleNamespace()
+    tokens = iter(argv)
+    for token in tokens:
+        if reading_flags and token == "--":
+            reading_flags = False
+            continue
+        read = _flag(token, flags) if reading_flags else None
+        if read is None and name is None:
+            if token not in _COMMANDS:
+                _fail(None, f"argument command: invalid choice: {token!r} (choose from {', '.join(_COMMANDS)})")
+            name = token
+            handler, _text, positionals, options, group = _COMMANDS[name]
+            args.command, args.func = name, handler
+            for slot, arity, _kind in positionals:
+                setattr(args, slot, [] if arity == "*" else None)
+            for _flags, dest, kind, _required in options:
+                setattr(args, dest, False if kind is None else None)
+            slots, one_of = list(positionals), set(group)
+            flags.update((flag, option) for option in options for flag in option[0])
+        elif read is None:
+            if ended or not slots:
+                surplus.append(token)
+                continue
+            started = True
+            slot, arity, kind = slots[0]
+            value = _value(name, slot, kind, token)
+            if arity == "*":
+                getattr(args, slot).append(value)
+            else:
+                setattr(args, slot, value)
+                del slots[0]
+        else:
+            ended = started
+            option, value = read
+            if option is None:
+                surplus.append(token)
+                continue
+            option_flags, dest, kind, _required = option
+            what = "/".join(option_flags)
+            if kind is None:
+                if value is not None:
+                    _fail(name, f"argument {what}: ignored explicit argument {value!r}")
+                if option is _HELP_OPTION:
+                    print(_help(name))
+                    raise SystemExit(EXIT_OK)
+                value = True
+            else:
+                if value is None:
+                    value = next(tokens, None)
+                    if value is None or _flag(value, flags) is not None:
+                        _fail(name, f"argument {what}: expected one argument")
+                value = _value(name, what, kind, value)
+            if dest in one_of and given & one_of - {dest}:
+                other = next(f[0] for f, d, _kind, _required in options if d in given & one_of)
+                _fail(name, f"argument {what}: not allowed with argument {other}")
+            given.add(dest)
+            setattr(args, dest, value)
+    if name is None:
+        _fail(None, "a command is required")
+    missing = [_shown(kind) for _slot, arity, kind in slots if arity == "1"]
+    missing += [option_flags[0] for option_flags, dest, _kind, required in options if required and dest not in given]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    if one_of and not given & one_of:
+        named = " ".join(f[0] for f, d, _kind, _required in options if d in one_of)
+        _fail(name, f"one of the arguments {named} is required")
+    if surplus:
+        _fail(name, "unrecognized arguments: " + " ".join(surplus))
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed early shows here, not in the interpreter's exit flush

@@ -44,6 +44,8 @@ from .netlist import GateInstance, Netlist, Violation, require_valid, validate
 _BITS = {"0": 0, "1": 1}
 # the findings whose position indexes the outputs line
 _OUTPUT_RULES = ("duplicate-output", "undefined-output", "fan-out")
+# the findings a wire gets when the gate line that defines it is skipped
+_SKIPPED_RULES = ("use-before-definition", "undefined-output")
 
 
 class ParseDiagnostic(NamedTuple):
@@ -97,10 +99,15 @@ def parse_netlist(text: str) -> Netlist:
     problems, bad or clashing gate definitions, unknown gates and every
     error ``validate`` finds (bad circuit or wire name, arity mismatch,
     bad constant, redefinition, use before definition, fan-out,
-    duplicate or undefined output).  Warnings do not fail a parse; the
-    returned netlist's check is cached.
+    duplicate or undefined output).  A refused definition explains its
+    gate lines, which get no ``unknown-gate`` of their own, and a
+    skipped gate line explains the wires that only it defines, which
+    get no ``use-before-definition`` or ``undefined-output``.  Warnings
+    do not fail a parse; the returned netlist's check is cached.
     """
     known = dict(BUILTIN_GATES)
+    refused: set[str] = set()  # names of refused definitions, which explain their gate lines
+    skipped: set[str] = set()  # outputs of gate lines left out of the netlist
     diagnostics: list[ParseDiagnostic] = []
 
     def fail(lineno: int, token: int, rule: str, message: str) -> NetlistParseError:
@@ -135,6 +142,7 @@ def parse_netlist(text: str) -> Netlist:
                 try:
                     known[tokens[1]] = _declared_gate(tokens)
                 except ValueError as exc:
+                    refused.add(tokens[1])
                     diagnostics.append(ParseDiagnostic(lineno, 1, "bad-gate-definition", str(exc)))
                 continue
             if key != "inputs":
@@ -155,7 +163,10 @@ def parse_netlist(text: str) -> Netlist:
                     raise fail(lineno, 0, "syntax", "expected 'gate NAME IN... -> OUT...'")
                 gate = known.get(tokens[1])
                 if gate is None:
-                    diagnostics.append(ParseDiagnostic(lineno, 1, "unknown-gate", f"unknown gate {tokens[1]!r}"))
+                    if tokens[1] not in refused:
+                        diagnostics.append(ParseDiagnostic(lineno, 1, "unknown-gate", f"unknown gate {tokens[1]!r}"))
+                    if "->" in tokens:
+                        skipped.update(tokens[tokens.index("->") + 1 :])
                     continue
                 if "->" not in tokens:
                     raise fail(lineno, 2, "syntax", "gate line is missing '->'")
@@ -196,8 +207,11 @@ def parse_netlist(text: str) -> Netlist:
         # const WIRE BIT: a bad constant sits on its bit
         return const_at[p - len(inputs)], 2 if v.rule == "bad-constant" else 1
 
+    if skipped:
+        # a wire that only a skipped gate line defines is explained by that line's finding
+        skipped.difference_update(inputs, (wire for wire, _bit in constants), *(g.outputs for g in gates))
     for v in validate(netlist):
-        if v.severity == "error":
+        if v.severity == "error" and (v.wire not in skipped or v.rule not in _SKIPPED_RULES):
             diagnostics.append(ParseDiagnostic(*place(v), v.rule, v.message))
     if not diagnostics:
         return netlist

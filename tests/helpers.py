@@ -1,4 +1,4 @@
-"""Shared test utilities: arithmetic oracles and a random-netlist generator.
+"""Shared test utilities: arithmetic oracles, a random-netlist generator and the argparse reference CLI parser.
 
 The oracles here are deliberately independent of the simulator: they
 work on plain integers and only use the library's bit-order helpers to
@@ -7,9 +7,19 @@ translate to and from wire patterns.
 
 from __future__ import annotations
 
+import argparse
 import random
 
 from revlogic import GateDefinition, GateInstance, LogicCost, Netlist, bits_to_int, builtin, int_to_bits
+from revlogic.cli import (
+    _cmd_build,
+    _cmd_check_adder,
+    _cmd_compare,
+    _cmd_inverse,
+    _cmd_metrics,
+    _cmd_sim,
+    _cmd_validate,
+)
 
 GATE_POOL = ("FG", "PG", "TG", "FRG", "PFAG", "HNG", "HNFG")
 
@@ -104,3 +114,55 @@ def random_netlist(rng: random.Random, max_gates: int = 8) -> Netlist:
 
     outputs = [wire for wire in available if rng.random() < 0.5]
     return Netlist("rand", tuple(inputs), tuple(constants), tuple(gates), tuple(outputs))
+
+
+# The command line grammar as argparse read it, before cli._read_args replaced it:
+# the reference that the reader is tested against, copied verbatim.
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="revlogic", description="Reversible-logic netlist toolkit.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="structural check; prints violations")
+    p.add_argument("file")
+    p.set_defaults(func=_cmd_validate)
+
+    p = sub.add_parser("sim", help="forward simulation")
+    p.add_argument("file")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--in", dest="input_bits", metavar="BITSTRING")
+    group.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--show-garbage", action="store_true")
+    p.add_argument("--max-inputs", type=int)  # None: simulate.DEFAULT_INPUT_LIMIT
+    p.set_defaults(func=_cmd_sim)
+
+    p = sub.add_parser("inverse", help="inverse simulation from all terminal lines")
+    p.add_argument("file")
+    p.add_argument("--out", dest="output_bits", metavar="BITSTRING", required=True)
+    p.set_defaults(func=_cmd_inverse)
+
+    p = sub.add_parser("metrics", help="gate count, quantum cost, garbage, constants, logical totals")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_metrics)
+
+    p = sub.add_parser("build", help="emit a generated netlist")
+    p.add_argument("design", choices=("ripple4", "bcd1", "bcd2", "bcd-chain"))
+    p.add_argument("digits", nargs="?", type=int)
+    p.add_argument("--carry-in", dest="carry_in", choices=("primary", "const"), default=None)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=_cmd_build)
+
+    p = sub.add_parser("check-adder", help="oracle equivalence check")
+    p.add_argument("file")
+    p.add_argument("--kind", choices=("ripple4", "bcd", "bcd-chain"), required=True)
+    p.add_argument("--digits", type=int)
+    p.add_argument("--max-inputs", type=int)  # None: simulate.DEFAULT_INPUT_LIMIT
+    p.set_defaults(func=_cmd_check_adder)
+
+    p = sub.add_parser("compare", help="metrics comparison table")
+    p.add_argument("files", nargs="*")
+    p.add_argument("--with-literature", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_compare)
+
+    return parser

@@ -1,19 +1,26 @@
 """End-to-end CLI tests driving revlogic.cli.main."""
 
 import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import revlogic
 from revlogic import GateInstance, Netlist, build_ripple_adder, builtin, parse_netlist, serialize_netlist, truth_table
+from revlogic import cli
 from revlogic.cli import main
 from revlogic.simulate import DEFAULT_COUNTEREXAMPLE_LIMIT
+
+from helpers import _build_parser
 
 GOOD = """\
 circuit c
@@ -406,3 +413,160 @@ def test_check_adder_refuses_a_table_past_the_limit(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(revlogic.simulate, "check_equivalence", broken)
     with pytest.raises(ValueError, match="not a limit"):
         main(["check-adder", path, "--kind", "bcd-chain"])
+
+
+# -- the argv reader against the argparse parser it replaced ----------------
+
+REFERENCE = _build_parser()
+SUBPARSERS = REFERENCE._subparsers._group_actions[0].choices
+COMMAND_FLAGS = {name: set(sub._option_string_actions) for name, sub in SUBPARSERS.items()}
+COMMAND_WORDS = [*COMMAND_FLAGS, "validates", "Sim", "check_adder"]
+FLAGS = sorted({flag for flags in COMMAND_FLAGS.values() for flag in flags}) + ["--bogus", "-x", "-oa.net"]
+VALUE_FLAGS = {flag for sub in SUBPARSERS.values() for action in sub._actions if action.nargs != 0 for flag in action.option_strings}
+WORDS = [
+    *("0", "2", "7", "24", "-1", "-3", "-1.5", "1.5", "x", "", "-"),  # ints, negative ints, other strings
+    *("ripple4", "bcd1", "bcd2", "bcd-chain", "bcd", "primary", "const"),  # choice words
+    *("bcd3", "ripple", "Primary", "consts", "bcd-chains"),  # near misses
+    *("a.net", "dir/b.net", "c d.net", "-x y", "0101", "011101010"),  # paths and bitstrings
+]
+NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def arguments(sub):
+    """Strategies for the token groups of one command: a positional, or a flag with its value."""
+    groups = []
+    for action in sub._actions:
+        pool = list(action.choices or ()) + (["0", "2", "-3"] if action.type is int else ["a.net", "0101"])
+        value = st.sampled_from(pool) | st.sampled_from(WORDS)
+        if not action.option_strings:
+            groups.append(value.map(lambda v: [v]))
+        elif action.nargs == 0:
+            groups.append(st.sampled_from(action.option_strings).map(lambda f: [f]))
+        else:
+            flag = st.sampled_from(action.option_strings)
+            groups.append(st.tuples(flag, value).map(list) | st.builds("{}={}".format, flag, value).map(lambda t: [t]))
+    return st.one_of(groups)
+
+
+GROUPS = {name: arguments(sub) for name, sub in SUBPARSERS.items()}
+
+
+@st.composite
+def command_lines(draw):
+    """A command word, then its own token groups mixed with any tokens, with at most one '--'.
+
+    Top-level flags may come first.  A '--' comes only inside the first
+    run of positionals, with a token after it: argparse 3.12.7 changed
+    how it reads one before the command, at the end, or past a flag
+    that follows the run.
+    """
+    # mostly a command and its own groups, so that many lines are well formed
+    command = draw(st.sampled_from(COMMAND_WORDS if draw(st.integers(0, 9)) == 0 else list(COMMAND_FLAGS)))
+    flag = st.sampled_from(FLAGS) | st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(WORDS))
+    other = (st.sampled_from(WORDS) | flag).map(lambda t: [t])
+    head = draw(st.just([]) | st.lists(flag, max_size=1))
+    rest = []
+    for _ in range(draw(st.integers(0, 5))):
+        rest += draw(GROUPS[command] if command in GROUPS and draw(st.integers(0, 3)) else other)
+    if draw(st.booleans()):
+        rest = [*draw(st.lists(st.sampled_from(WORDS), max_size=2)), "--", draw(st.sampled_from(WORDS + FLAGS)), *rest]
+    return [*head, command, *rest]
+
+
+def is_flag(token, flags=()):
+    """Whether argparse reads a token as a flag, in a parser with these flags."""
+    if token[:1] != "-" or token == "-":
+        return False
+    return token.partition("=")[0] in flags or not (" " in token or NEGATIVE.match(token))
+
+
+def left_out(argv):
+    """Whether the comparison leaves a command line out: it abbreviates a flag, or argparse's reading of it changed."""
+    command = next((t for t in argv if not is_flag(t)), None)
+    if command not in COMMAND_FLAGS:
+        return False
+    rest = argv[argv.index(command) + 1 :]
+    flags = COMMAND_FLAGS[command]
+    rest = rest[: rest.index("--")] if "--" in rest else rest
+    for token in rest:
+        head = token.partition("=")[0]
+        if any(flag != head and flag.startswith(head) for flag in flags):
+            return True  # an abbreviation, which the reader refuses
+    # a positional past a flag that follows build's design: its digit count was refused before 3.12.7, read since
+    positional = after_flag = False
+    tokens = iter(rest)
+    for token in tokens:
+        if is_flag(token, flags):
+            after_flag = positional
+            if token in VALUE_FLAGS:
+                next(tokens, None)
+        elif after_flag and command == "build":
+            return True
+        else:
+            positional = True
+    return False
+
+
+def outcome(read, argv):
+    """(exit code or None, vars of the result or None, stdout, stderr) of one reading of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(read(argv))
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+    return None, result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+@example(["build", "bcd2", "-o", "bcd2.net"])
+@example(["build", "bcd2", "--carry-in", "const"])
+@example(["build", "bcd-chain", "-3"])
+@example(["validate", "bcd2.net"])
+@example(["metrics", "bcd2.net", "--json"])
+@example(["sim", "bcd2.net", "--in", "100110010"])
+@example(["sim", "bcd2.net", "--exhaustive", "--show-garbage", "--max-inputs", "7"])
+@example(["inverse", "bcd2.net", "--out", "0101"])
+@example(["check-adder", "bcd2.net", "--kind", "bcd-chain", "--digits", "2"])
+@example(["compare", "bcd2.net", "--with-literature", "--json"])
+@example(["sim", "a.net", "--in=0101", "--in", "1"])
+@example(["validate", "--", "-h"])
+@example(["sim", "a.net", "--in", "--exhaustive"])
+@example(["sim", "a.net", "--in", "0101", "--exhaustive"])
+@example(["build", "bcd2", "-oa.net"])
+@example(["compare", "a.net", "--json", "dir/b.net"])
+@example(["sim", "a.net"])
+@example([])
+def test_reader_agrees_with_the_argparse_parser(argv):
+    assume(not left_out(argv))
+    code, result, out, err = outcome(cli._read_args, argv)
+    assert (code, result) == outcome(REFERENCE.parse_args, argv)[:2]
+    if code == 2:
+        assert out == "" and err.startswith("usage: revlogic")
+        assert re.search(r"^revlogic( [a-z-]+)?: error: ", err, re.MULTILINE)
+    elif code == 0:
+        assert out.startswith("usage: revlogic") and err == ""
+    else:
+        assert out == err == ""
+
+
+def test_reader_refuses_abbreviations(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sim", "a.net", "--in", "1", "--exh"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "revlogic sim: error: unrecognized arguments: --exh"
+
+
+def test_help_names_every_command_and_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"\n  {name} " in out for name in COMMAND_FLAGS)
+    for name, flags in COMMAND_FLAGS.items():
+        with pytest.raises(SystemExit):
+            main([name, "-h"])
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: revlogic {name} ")
+        assert all(flag in out for flag in flags)

@@ -229,7 +229,7 @@ POSITIONED = [
     ("circuit c\ninputs\noutputs g g\nend\n", [("undefined-output", 3, 1), ("duplicate-output", 3, 2)]),
     (
         "circuit c\ninputs a b\ngate NOPE a b -> p q\ngate FG p q -> r s\noutputs r s\nend\n",
-        [("unknown-gate", 3, 1), ("use-before-definition", 4, 2), ("use-before-definition", 4, 3)],
+        [("unknown-gate", 3, 1)],
     ),
     (
         "circuit c\ninputs a a\ngate FG a ghost -> p q\noutputs p q miss\nend\n",
@@ -243,7 +243,16 @@ POSITIONED = [
     ),
     (
         "circuit c\ndefine S 3 0 0 0 00 00 01 11\ninputs a b\ngate S a b -> p q\noutputs p q\nend\n",
-        [("bad-gate-definition", 2, 1), ("unknown-gate", 4, 1), ("undefined-output", 5, 1), ("undefined-output", 5, 2)],
+        [("bad-gate-definition", 2, 1)],
+    ),
+    # a skipped gate line explains only the wires that nothing else defines
+    (
+        "circuit c\ninputs a b\ngate NOPE a b -> p q\noutputs p q miss\nend\n",
+        [("unknown-gate", 3, 1), ("undefined-output", 4, 3)],
+    ),
+    (
+        "circuit c\ninputs a b c d\ngate NOPE a b -> p q\ngate FG p q -> r s\ngate FG c d -> p q\noutputs r s\nend\n",
+        [("unknown-gate", 3, 1), ("use-before-definition", 4, 2), ("use-before-definition", 4, 3)],
     ),
 ]
 
