@@ -383,7 +383,10 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace:
     walk ends, so a later ``-h`` still prints help.  Flags and
     positionals may mix; ``--`` ends the flags, and a repeated option
     keeps its last value.  The positionals are filled from the first
-    run of them: one past a flag that follows that run is left over.
+    run of them.  Past a flag that follows that run, a positional fills
+    only a ``?`` slot that run left unfilled (``build``'s digit count),
+    as the standard parser reads it from Python 3.12.7; any other is
+    left over.
     """
     name = None  # the command, once read
     flags = dict.fromkeys(_HELP_OPTION[0], _HELP_OPTION)
@@ -414,7 +417,7 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace:
             slots, one_of = list(positionals), set(group)
             flags.update((flag, option) for option in options for flag in option[0])
         elif read is None:
-            if ended or not slots:
+            if not slots or ended and slots[0][1] != "?":
                 surplus.append(token)
                 continue
             started = True

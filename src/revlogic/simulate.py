@@ -45,10 +45,13 @@ them as a ``TruthTable``, a read-only ``Sequence`` whose rows are built
 when they are read; a row's inputs follow from its index.  Iteration,
 the one row path, builds one block's rows at a time in C, by
 ``tuple.__new__`` on the row type, so a caller that streams the table
-(``sim --exhaustive``) holds the columns, not the rows.  When a block
-has more patterns than its outputs have values, equal output tuples in
-the block are one shared object.  The table holds no rows, so the
-cyclic garbage collector has nothing of it to scan.
+(``sim --exhaustive``) holds the columns, not the rows.  With at most
+12 primary outputs, and no more outputs than inputs, a block's outputs
+are read as one code per pattern, by whole-column int operations, and
+each code is looked up in one cached table that holds every output
+tuple once; an int index reads the same table.  Equal output tuples are
+then one object across the whole table.  The table holds no rows, so
+the cyclic garbage collector has nothing of it to scan.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
-from operator import attrgetter, eq, index
+from operator import attrgetter, eq, getitem, index
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .gates import GateDefinition, is_bit
@@ -290,12 +293,26 @@ def _bit_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Iterato
     return zip(*[format(values[slot], form).encode().translate(_TO_BITS)[::-1] for slot in slots])
 
 
-class _Shared(dict):
-    """Maps each key to the first key equal to it, so equal tuples become one object."""
+_CODED = 12  # at most this many outputs are read as codes: a table of at most 4096 tuples
 
-    def __missing__(self, key):
-        self[key] = key
-        return key
+
+@lru_cache(maxsize=None)  # output counts 0 to _CODED: at most 13 entries
+def _output_tuples(count: int) -> tuple:
+    """Every tuple of ``count`` bits once, at its code (first bit highest); past 8 bits, in pages of 256 by the high bits."""
+    tuples = tuple(product((0, 1), repeat=count))
+    return tuples if count <= 8 else tuple(tuples[page : page + 256] for page in range(0, len(tuples), 256))
+
+
+def _coded_rows(values: Sequence[int], count: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Per-pattern tuples of the first ``count`` columns, each taken from ``_output_tuples(count)``."""
+    form = f"0{size}b"
+    levels = [0, 0]  # the codes' low and high bytes; the first column is the highest bit
+    for column, shift in zip(values, range(count - 1, -1, -1)):
+        # the bit string holds the last pattern first, so a big-endian read puts pattern j in byte j
+        levels[shift >> 3] |= int.from_bytes(format(column, form).encode().translate(_TO_BITS), "big") << (shift & 7)
+    low, high = [level.to_bytes(size, "little") for level in levels]
+    tuples = _output_tuples(count)
+    return map(tuples.__getitem__, low) if count <= 8 else map(getitem, map(tuples.__getitem__, high), low)
 
 
 class TruthTable(Sequence):
@@ -304,14 +321,16 @@ class TruthTable(Sequence):
     Each block of patterns keeps one int per primary output and per
     garbage wire, bit j holding the wire's value on the block's j-th
     pattern; a row's inputs follow from its index.  Iterating builds one
-    block's rows at a time, in C, and equal output tuples in a block are
-    one object where they must repeat.  An int index reads one row from
-    the columns; a slice gives a list of rows.  The table equals another
+    block's rows at a time, in C.  An int index reads one row from the
+    columns; a slice gives a list of rows.  With at most 12 outputs, and
+    no more outputs than inputs, every read takes a row's outputs from
+    one cached table of every output tuple, so equal output tuples are
+    one object across the whole table.  The table equals another
     table or a list holding equal rows, and, like a list, is unhashable.
     Tables are built by ``truth_table``.
     """
 
-    __slots__ = ("_width", "_outputs", "_columns", "_starts")
+    __slots__ = ("_width", "_outputs", "_columns", "_starts", "_coded")
 
     def __init__(self, width: int, outputs: int, columns: Sequence[tuple[int, ...]]) -> None:
         """``columns`` holds, per block of ``_blocks(width)``, the output columns then the garbage ones."""
@@ -320,6 +339,8 @@ class TruthTable(Sequence):
         set_field(self, "_outputs", outputs)
         set_field(self, "_columns", tuple(columns))
         set_field(self, "_starts", tuple(start for start, _size in _blocks(width)))
+        # a table of every output tuple pays where there are no more outputs than inputs
+        set_field(self, "_coded", outputs <= min(_CODED, width))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -347,9 +368,7 @@ class TruthTable(Sequence):
         garbage_at = range(count, len(self._columns[0]))
         for start, end, columns in zip(starts, starts[1:], self._columns[first:]):
             size = end - start
-            outputs = _bit_rows(columns, outputs_at, size)
-            if 1 << count < size:  # then outputs must repeat within the block: share one tuple per value
-                outputs = map(_Shared().__getitem__, outputs)
+            outputs = _coded_rows(columns, count, size) if self._coded else _bit_rows(columns, outputs_at, size)
             garbage = _bit_rows(columns, garbage_at, size)
             # tuple.__new__ skips the named tuple's Python-level __new__
             yield map(tuple.__new__, repeat(TruthTableRow), zip(islice(inputs, size), outputs, garbage))
@@ -374,7 +393,8 @@ class TruthTable(Sequence):
         shift = position - self._starts[block]
         bits = tuple(column >> shift & 1 for column in self._columns[block])
         inputs = tuple(position >> bit & 1 for bit in reversed(range(self._width)))
-        return TruthTableRow(inputs, bits[: self._outputs], bits[self._outputs :])
+        outputs = next(_coded_rows(bits, self._outputs, 1)) if self._coded else bits[: self._outputs]
+        return TruthTableRow(inputs, outputs, bits[self._outputs :])
 
     def __eq__(self, other):
         if isinstance(other, TruthTable):

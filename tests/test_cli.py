@@ -148,6 +148,25 @@ def test_build_usage_errors(capsys):
     assert main(["build", "bcd-chain", "0"]) == 2
 
 
+def test_build_reads_a_digit_count_past_a_flag(tmp_path, capsys):
+    # as the standard parser reads it from Python 3.12.7: a ? positional the first run left unfilled takes a later one
+    late, early = tmp_path / "late.net", tmp_path / "early.net"
+    assert main(["build", "bcd-chain", "-o", str(late), "2"]) == 0
+    assert main(["build", "bcd-chain", "2", "-o", str(early)]) == 0
+    assert late.read_text(encoding="utf-8") == early.read_text(encoding="utf-8")
+    assert parse_netlist(late.read_text(encoding="utf-8")).name == "bcd_chain2"
+    capsys.readouterr()
+    # the slot takes one positional; and only a ? slot does: compare's files are filled from their first run
+    for argv, left in (
+        (["build", "bcd-chain", "--carry-in", "const", "-o", str(late), "2", "3"], "3"),
+        (["compare", "a.net", "--json", "b.net"], "b.net"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"revlogic {argv[0]}: error: unrecognized arguments: {left}"
+
+
 def test_sim_single_pattern(tmp_path, capsys):
     path = str(tmp_path / "r.net")
     main(["build", "ripple4", "-o", path])

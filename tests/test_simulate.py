@@ -580,8 +580,8 @@ def ring_netlist(width):
     return Netlist("ring", tuple(f"x{k}" for k in range(width)), (), tuple(gates), tuple(wires))
 
 
-def test_truth_table_outputs_shared_only_where_they_must_repeat():
-    # 2^14 output values outnumber the 4096 patterns of a block, so nothing must repeat: no sharing
+def test_truth_table_outputs_shared_up_to_12_outputs():
+    # 14 outputs, past the bound of 12: each row's outputs is a tuple of its own
     n = ring_netlist(14)
     rows = truth_table(n)
     assert len({row.outputs for row in rows}) == 1 << 14
@@ -593,6 +593,33 @@ def test_truth_table_outputs_shared_only_where_they_must_repeat():
     rows = truth_table(build_bcd_adder("bcd2"))
     for start, end in ((0, 64), (64, 128), (128, 256), (256, 512)):
         assert len({id(row.outputs) for row in rows[start:end]}) <= 32
+    # 13 inputs cross blocks of 64 to 4096 patterns; the first count of the 16 terminal wires are the outputs
+    base = wide_netlist(width=13)
+    terminals = [*base.primary_outputs, *garbage_wires(base)]
+    # the netlists below differ from base only in which wires are outputs, so one run of base per pattern serves all
+    runs = [run(base, dict(zip(base.primary_inputs, int_to_bits(i, 13)))).all_lines for i in range(1 << 13)]
+    for count in (0, 1, 8, 9, 12, 13):
+        n = Netlist(f"w{count}", base.primary_inputs, base.constants, base.gates, tuple(terminals[:count]))
+        garbage = garbage_wires(n)
+        table = truth_table(n)
+        rows = list(table)
+        for index, row in enumerate(rows):
+            lines = runs[index]
+            outputs, garbage_bits = (tuple(lines[w] for w in wires) for wires in (n.primary_outputs, garbage))
+            assert row == (tuple(int_to_bits(index, 13)), outputs, garbage_bits)
+        if count <= 12:  # one object per output value, on every read path
+            first = {}
+            assert all(row.outputs is first.setdefault(row.outputs, row.outputs) for row in rows)
+            assert all(table[i].outputs is rows[i].outputs for i in (0, 63, 64, 4095, 4096, 8191))
+            assert all(a.outputs is b.outputs for a, b in zip(table[4000:4200], rows[4000:4200]))
+        else:
+            assert all(type(row.outputs) is tuple for row in rows)
+            assert len({id(row.outputs) for row in rows}) == len(rows)
+    # two different rows with equal outputs, read by int index, hold one object
+    table = truth_table(Netlist("w9", base.primary_inputs, base.constants, base.gates, tuple(terminals[:9])))
+    j = next(k for k in range(1, len(table)) if table[k].outputs == table[0].outputs)
+    assert table[0].outputs is table[j].outputs
+    assert simulate._output_tuples.cache_info().currsize <= 13
 
 
 def test_sweep_across_block_boundaries():
