@@ -91,10 +91,10 @@ def _cmd_sim(args: SimpleNamespace) -> int:
             raise _UsageError(str(exc)) from None
     else:
         bits = _parse_bitstring(args.input_bits, len(netlist.primary_inputs), "--in")
-    print("# inputs: " + " ".join(netlist.primary_inputs))
-    print("# outputs: " + " ".join(netlist.primary_outputs))
+    print(" ".join(["# inputs:", *netlist.primary_inputs]))
+    print(" ".join(["# outputs:", *netlist.primary_outputs]))
     if args.show_garbage:
-        print("# garbage: " + " ".join(garbage))
+        print(" ".join(["# garbage:", *garbage]))
     if args.exhaustive:
         for row in rows:
             line = f"{_bitstring(row.inputs)} -> {_bitstring(row.outputs)}"
@@ -103,9 +103,9 @@ def _cmd_sim(args: SimpleNamespace) -> int:
             print(line)
         return EXIT_OK
     result = run(netlist, dict(zip(netlist.primary_inputs, bits)))
-    print("outputs " + _bitstring([result.primary_out[w] for w in netlist.primary_outputs]))
+    print(f"outputs {_bitstring([result.primary_out[w] for w in netlist.primary_outputs])}".rstrip())
     if args.show_garbage:
-        print("garbage " + _bitstring([result.garbage_out[w] for w in garbage]))
+        print(f"garbage {_bitstring([result.garbage_out[w] for w in garbage])}".rstrip())
     return EXIT_OK
 
 
@@ -115,15 +115,15 @@ def _cmd_inverse(args: SimpleNamespace) -> int:
     netlist = _load(args.file)
     terminals = list(netlist.primary_outputs) + garbage_wires(netlist)
     bits = _parse_bitstring(args.output_bits, len(terminals), "--out")
-    print("# terminals: " + " ".join(terminals))
+    print(" ".join(["# terminals:", *terminals]))
     sources = run_inverse(netlist, dict(zip(terminals, bits)))
-    print("# inputs: " + " ".join(netlist.primary_inputs))
-    print("inputs " + _bitstring([sources[w] for w in netlist.primary_inputs]))
+    print(" ".join(["# inputs:", *netlist.primary_inputs]))
+    print(f"inputs {_bitstring([sources[w] for w in netlist.primary_inputs])}".rstrip())
     parts = []
     for wire, declared in netlist.constants:
         value = sources[wire]
         parts.append(f"{wire}={value}" if value == declared else f"{wire}={value} (declared {declared})")
-    print(" ".join(["constants", *parts]).rstrip())
+    print(" ".join(["constants", *parts]))
     return EXIT_OK
 
 

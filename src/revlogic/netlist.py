@@ -16,9 +16,9 @@ are the garbage outputs.  Netlists are immutable after construction
 a frozen dataclass without importing ``dataclasses``), so each one is
 checked at most once and compiled at most once: the first query
 records its validation findings, garbage and wire numbering (each
-wire's index in definition order), the first simulation builds its
-evaluation plan on that numbering, and later calls read them.  Neither
-cache shows in equality, the hash, the repr or a pickle.
+wire's index in definition order), the simulator builds the evaluation
+plan on that numbering at the first simulation, and later calls read
+them.  Neither cache shows in equality, the hash, the repr or a pickle.
 
 The check accepts in bulk and explains on refusal.  Whole-list passes,
 run in C by ``map``, ``set``, ``zip`` and ``dict``, prove that a
@@ -32,9 +32,12 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, chain, filterfalse, repeat
 from operator import attrgetter, itemgetter, lt
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .gates import BUILTIN_GATES, GateDefinition, _Immutable, is_bit, is_identifier
+
+if TYPE_CHECKING:
+    from .simulate import _Plan
 
 
 class _GateInstanceFields(NamedTuple):
@@ -92,11 +95,12 @@ class Netlist(_Immutable):
 
     @cached_property
     def _plan(self) -> _Plan:
-        """Evaluation plan of a valid netlist, built on first simulation.
+        """Evaluation plan of a valid netlist, built by the simulator on first simulation.
 
         Raises InvalidNetlistError, on every use, for an invalid netlist.
         """
         require_valid(self)
+        from .simulate import _Plan  # only a simulation loads the simulator
         return _Plan(self, *self._checked[1:])
 
 
@@ -291,43 +295,6 @@ def _walk(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
             f"{sources} source lines but {len(netlist.primary_outputs)} outputs + {len(garbage)} garbage",
         )
     return violations, garbage, list(defined)
-
-
-class _Plan:
-    """The one compiled schedule of a valid netlist, read by every engine.
-
-    Each wire's slot is its index in the definition order that validation
-    recorded, so the primary inputs fill the first slots, the constants
-    the next ones, and each gate's outputs the consecutive slots after
-    the gates before it.  Gate ``i`` is ``gates[i]``, reading
-    ``in_slots[i]`` and writing ``out_slots[i]``: the read slots come
-    from one lookup over all gate inputs and the write slots from one
-    range, each split by arity.  ``run`` and the block engine apply gates
-    forwards through their ``anf``, ``run_inverse`` backwards through
-    their ``inverse_anf``, each compiled per gate kind; ``kernel_steps``
-    holds each gate's forward kernel beside its slots once either has
-    first run.
-    """
-
-    def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int]) -> None:
-        self.slots = slots
-        self.const_bits = tuple(map(itemgetter(1), netlist.constants))
-        self.gates = tuple(map(attrgetter("gate"), netlist.gates))
-        arities = list(map(attrgetter("arity"), self.gates))
-        reads = tuple(map(slots.__getitem__, chain.from_iterable(map(attrgetter("inputs"), netlist.gates))))
-        self.in_slots = _split(reads, arities)
-        self.out_slots = _split(tuple(range(len(slots) - len(reads), len(slots))), arities)
-        self.po_slots = tuple(map(slots.__getitem__, netlist.primary_outputs))
-        self.garbage_wires = garbage
-        self.garbage_slots = tuple(map(slots.__getitem__, garbage))
-        self.terminal_wires = netlist.primary_outputs + garbage
-        self.kernel_steps: list | None = None  # set by simulate, which this module does not import
-
-
-def _split(flat: tuple[int, ...], sizes: Iterable[int]) -> list[tuple[int, ...]]:
-    """``flat`` cut into consecutive tuples of the given sizes."""
-    ends = list(accumulate(sizes, initial=0))
-    return list(map(flat.__getitem__, map(slice, ends, ends[1:])))
 
 
 def validate(netlist: Netlist) -> list[Violation]:

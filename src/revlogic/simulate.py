@@ -6,21 +6,22 @@ in ascending binary order.  All functions are pure over immutable
 netlists, so exhaustive sweeps may be partitioned across workers.  The
 validation result and the evaluation plan are each built once and
 cached on the immutable netlist object; concurrent first uses may each
-build them, with equal results.
+build them, with equal results.  The plan, ``_Plan``, lives here, the
+one module that builds or reads it, and is complete once built.
 
-Every engine reads that one plan: each gate's definition with its input
-and output slots.  A wire's slot is its place in the definition order
-that validation recorded, so the primary inputs fill the first slots and
-the constants the next ones: ``run`` and the block engine write the
-sources there, and ``run_inverse`` reads them back from there.  Every
-engine applies gates through one gate loop over compiled ANF kernels,
-described below.  ``run`` passes one pattern as 0/1 ints, with 1 as
-``one``, and applies each gate's ``anf`` kernel from input to output
-slots in gate order.  Because every gate is a bijection, ``run_inverse``
-applies each gate's ``inverse_anf`` kernel (the normal form of its
-``inverse_table``) from output to input slots in reverse order, and so
-recovers the source lines.  It looks each distinct gate object's
-inverse kernel up once per call, not once per gate.
+Every engine reads that one plan: each gate's definition, its input and
+output slots, and its forward kernel.  A wire's slot is its place in the
+definition order that validation recorded, so the primary inputs fill
+the first slots and the constants the next ones: ``run`` and the block
+engine write the sources there, and ``run_inverse`` reads them back from
+there.  Every engine applies gates through one gate loop over compiled
+ANF kernels, described below.  ``run`` passes one pattern as 0/1 ints,
+with 1 as ``one``, and applies each gate's ``anf`` kernel from input to
+output slots in gate order.  Because every gate is a bijection,
+``run_inverse`` applies each gate's ``inverse_anf`` kernel (the normal
+form of its ``inverse_table``) from output to input slots in reverse
+order, and so recovers the source lines.  It looks each distinct gate
+object's inverse kernel up once per call, not once per gate.
 
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
@@ -34,9 +35,9 @@ memory.  Each gate kind's ANF is compiled once into straight-line code,
 one function per kind, whose source is built from ints only (slot
 positions and monomial masks), never from a name or other document
 text.  The compiled kernels sit in a bounded cache keyed by ANF, and
-each plan looks its forward kernels up once, one lookup per distinct
-gate object.  The gate loop uses only ``^``, ``&`` and a supplied one,
-so it runs over any Boolean ring.
+each plan looks its forward kernels up as it is built, one lookup per
+distinct gate object.  The gate loop uses only ``^``, ``&`` and a
+supplied one, so it runs over any Boolean ring.
 
 ``truth_table`` runs the block engine over every block in the call and
 keeps only the primary-output and garbage columns: (outputs + garbage)
@@ -59,12 +60,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import chain, islice, product, repeat
-from operator import attrgetter, eq, getitem, index
+from itertools import accumulate, chain, islice, product, repeat
+from operator import attrgetter, eq, getitem, index, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .gates import GateDefinition, is_bit
-from .netlist import Netlist, _Plan
+from .netlist import Netlist
 
 DEFAULT_INPUT_LIMIT = 20
 DEFAULT_COUNTEREXAMPLE_LIMIT = 16
@@ -238,20 +239,51 @@ def _anf_kernel(anf: tuple[tuple[int, ...], ...]) -> Callable[[list, Sequence[in
     return namespace["kernel"]
 
 
+class _Plan:
+    """The one compiled schedule of a valid netlist, read by every engine.
+
+    Each wire's slot is its index in the definition order that validation
+    recorded, so the primary inputs fill the first slots, the constants
+    the next ones, and each gate's outputs the consecutive slots after
+    the gates before it.  Gate ``i`` is ``gates[i]``, reading
+    ``in_slots[i]`` and writing ``out_slots[i]``: the read slots come
+    from one lookup over all gate inputs and the write slots from one
+    range, each split by arity.  ``steps[i]`` holds gate ``i``'s forward
+    kernel beside those slots, looked up when the plan is built, once per
+    distinct gate object.
+    """
+
+    def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int]) -> None:
+        self.slots = slots
+        self.const_bits = tuple(map(itemgetter(1), netlist.constants))
+        self.gates = tuple(map(attrgetter("gate"), netlist.gates))
+        arities = list(map(attrgetter("arity"), self.gates))
+        reads = tuple(map(slots.__getitem__, chain.from_iterable(map(attrgetter("inputs"), netlist.gates))))
+        self.in_slots = _split(reads, arities)
+        self.out_slots = _split(tuple(range(len(slots) - len(reads), len(slots))), arities)
+        self.po_slots = tuple(map(slots.__getitem__, netlist.primary_outputs))
+        self.garbage_wires = garbage
+        self.garbage_slots = tuple(map(slots.__getitem__, garbage))
+        self.terminal_wires = netlist.primary_outputs + garbage
+        kernels = _kernels(self.gates, attrgetter("anf"))
+        self.steps = list(zip(map(kernels.__getitem__, map(id, self.gates)), self.in_slots, self.out_slots))
+
+
+def _split(flat: tuple[int, ...], sizes: Iterable[int]) -> list[tuple[int, ...]]:
+    """``flat`` cut into consecutive tuples of the given sizes."""
+    ends = list(accumulate(sizes, initial=0))
+    return list(map(flat.__getitem__, map(slice, ends, ends[1:])))
+
+
 def _apply_gates(plan: _Plan, values: list, one) -> None:
     """Apply every gate of ``plan`` to ``values`` in gate order, each through its kind's ANF kernel.
 
     ``values`` holds one value per slot, with the sources filled in.  Only
     ``^``, ``&`` and ``one`` touch them, so any Boolean ring serves: ``run``
     passes bits and 1, the block engine int columns and the all-ones
-    column.  The kernels are looked up once per plan, and there once per
-    distinct gate object.
+    column.
     """
-    steps = plan.kernel_steps
-    if steps is None:
-        kernels = _kernels(plan.gates, attrgetter("anf"))
-        steps = plan.kernel_steps = list(zip(map(kernels.__getitem__, map(id, plan.gates)), plan.in_slots, plan.out_slots))
-    _run_steps(steps, values, one)
+    _run_steps(plan.steps, values, one)
 
 
 def _kernels(gates: Sequence[GateDefinition], normal_form: Callable[[GateDefinition], tuple]) -> dict[int, Callable]:
@@ -363,15 +395,16 @@ class TruthTable(Sequence):
         """The rows of each block from block ``first`` on, one iterator per block."""
         width, count = self._width, self._outputs
         starts = self._starts[first:] + (len(self),)
-        inputs = islice(product((0, 1), repeat=width), starts[0], None)
         outputs_at = range(count)
         garbage_at = range(count, len(self._columns[0]))
         for start, end, columns in zip(starts, starts[1:], self._columns[first:]):
             size = end - start
+            # size is a power of two dividing start: the block's high input bits are fixed, its low bits free
+            inputs = product(*[(0, 1) if 1 << bit < size else (start >> bit & 1,) for bit in reversed(range(width))])
             outputs = _coded_rows(columns, count, size) if self._coded else _bit_rows(columns, outputs_at, size)
             garbage = _bit_rows(columns, garbage_at, size)
             # tuple.__new__ skips the named tuple's Python-level __new__
-            yield map(tuple.__new__, repeat(TruthTableRow), zip(islice(inputs, size), outputs, garbage))
+            yield map(tuple.__new__, repeat(TruthTableRow), zip(inputs, outputs, garbage))
 
     def __getitem__(self, key):
         if isinstance(key, slice):

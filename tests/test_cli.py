@@ -255,6 +255,24 @@ def test_sim_max_inputs_refusal(netfile, capsys):
     assert captured.out == ""
 
 
+def test_empty_wire_lists_end_at_their_label(netfile, capsys):
+    pfag, hnfg = builtin("PFAG"), builtin("HNFG")
+    gates = (
+        GateInstance(pfag, ("a", "b", "c", "d"), ("p", "q", "r", "s")),
+        GateInstance(hnfg, ("s", "r", "q", "p"), ("w", "x", "y", "z")),
+    )
+    full = netfile(serialize_netlist(Netlist("full", ("a", "b", "c", "d"), (), gates, ("w", "x", "y", "z"))), "full.net")
+    assert main(["sim", full, "--in", "0101", "--show-garbage"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["# inputs: a b c d", "# outputs: w x y z", "# garbage:", lines[3], "garbage"]
+    assert re.fullmatch("outputs [01]{4}", lines[3])
+    empty = netfile(serialize_netlist(Netlist("empty", (), (), (), ())), "empty.net")
+    assert main(["sim", empty, "--in", "", "--show-garbage"]) == 0
+    assert capsys.readouterr().out == "# inputs:\n# outputs:\n# garbage:\noutputs\ngarbage\n"
+    assert main(["inverse", empty, "--out", ""]) == 0
+    assert capsys.readouterr().out == "# terminals:\n# inputs:\ninputs\nconstants\n"
+
+
 def test_inverse_round_trip(tmp_path, capsys):
     path = str(tmp_path / "r.net")
     main(["build", "ripple4", "-o", path])

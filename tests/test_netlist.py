@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import revlogic.netlist
+import revlogic.simulate
 from revlogic import (
     GateInstance,
     InvalidNetlistError,
@@ -365,13 +366,13 @@ def test_returned_lists_are_fresh():
 
 def test_invalid_netlist_raises_on_every_call(check_calls, monkeypatch):
     plans = []
-    original = revlogic.netlist._Plan
+    original = revlogic.simulate._Plan
 
     def counting_plan(*args):
         plans.append(args)
         return original(*args)
 
-    monkeypatch.setattr(revlogic.netlist, "_Plan", counting_plan)
+    monkeypatch.setattr(revlogic.simulate, "_Plan", counting_plan)
     n = Netlist("bad", ("a", "a"), (), (), ())
     for _ in range(2):
         assert not is_valid(n)

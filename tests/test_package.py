@@ -106,6 +106,19 @@ def test_metrics_json_loads_what_it_runs(tmp_path):
     assert not modules & {"revlogic.simulate", "revlogic.builders", "dataclasses", "inspect", *ARGPARSE}
 
 
+def test_text_and_metrics_paths_load_no_simulator():
+    code = (
+        "import sys\n"
+        "from revlogic import analyze, build_bcd_chain, garbage_wires, parse_netlist, serialize_netlist, validate\n"
+        "n = parse_netlist(serialize_netlist(build_bcd_chain(2)))\n"
+        "print(validate(n), len(garbage_wires(n)), analyze(n).quantum_cost)\n"
+        "print('revlogic.simulate' in sys.modules)\n"
+    )
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 46 176\nFalse\n"
+
+
 # the other command kinds of the benchmark's cli session, on the 4-bit ripple adder
 SESSION = {
     "build": lambda path, width: ["build", "ripple4", "-o", path],

@@ -660,9 +660,12 @@ def test_truth_table_is_a_sequence_of_rows():
         slice(70, 60),
         slice(1 << 20, None),
     )
+    # the start, the block edges at 64, 128 and 4096, and the end, with steps 1, 3 and -2
+    for low, high in ((0, 20), (50, 80), (110, 140), (4080, 4110), (-20, None)):
+        slices += (slice(low, high), slice(low, high, 3), slice(high, low, -2))
     for key in slices:
         part = table[key]
-        assert type(part) is list and part == rows[key], key
+        assert type(part) is list and part == rows[key] == [table[i] for i in range(len(table))[key]], key
     with pytest.raises(ValueError):
         table[::0]
     with pytest.raises(AttributeError):
@@ -803,7 +806,17 @@ def test_equal_tables_share_one_kernel():
         n = Netlist("one", ("a", "b"), (), (GateInstance(gate, ("a", "b"), ("p", "q")),), ("p", "q"))
         truth_table(n)
         plans.append(n._plan)
-    assert plans[0].kernel_steps[0][0] is plans[1].kernel_steps[0][0]
+    assert plans[0].steps[0][0] is plans[1].steps[0][0]
+
+
+def test_plan_is_complete_when_built():
+    n = wide_netlist()
+    plan = n._plan  # read before any run
+    assert len(plan.steps) == len(n.gates)
+    for i, (inst, step) in enumerate(zip(n.gates, plan.steps)):
+        kernel = simulate._anf_kernel(inst.gate.anf)
+        assert step == (kernel, plan.in_slots[i], plan.out_slots[i])
+        assert step[0] is kernel
 
 
 def test_kernels_compile_once_per_gate_kind():
