@@ -97,10 +97,11 @@ def _cmd_sim(args: SimpleNamespace) -> int:
         print(" ".join(["# garbage:", *garbage]))
     if args.exhaustive:
         for row in rows:
-            line = f"{_bitstring(row.inputs)} -> {_bitstring(row.outputs)}"
+            parts = [_bitstring(row.inputs), "->", _bitstring(row.outputs)]
             if args.show_garbage:
-                line = f"{line} | {_bitstring(row.garbage)}".rstrip()
-            print(line)
+                parts += ("|", _bitstring(row.garbage))
+            # an empty wire list leaves out its part, not the space around it
+            print(" ".join(filter(None, parts)))
         return EXIT_OK
     result = run(netlist, dict(zip(netlist.primary_inputs, bits)))
     print(f"outputs {_bitstring([result.primary_out[w] for w in netlist.primary_outputs])}".rstrip())

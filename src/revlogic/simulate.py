@@ -20,8 +20,10 @@ with 1 as ``one``, and applies each gate's ``anf`` kernel from input to
 output slots in gate order.  Because every gate is a bijection,
 ``run_inverse`` applies each gate's ``inverse_anf`` kernel (the normal
 form of its ``inverse_table``) from output to input slots in reverse
-order, and so recovers the source lines.  It looks each distinct gate
-object's inverse kernel up once per call, not once per gate.
+order, and so recovers the source lines.  It looks the inverse kernels
+up once per call in the plan's table of distinct gate objects, not once
+per gate.  Both take the checked bindings as one list in wire order and
+move bits through the plan's slots, with no per-wire dict lookup.
 
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
@@ -60,11 +62,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, islice, product, repeat
+from itertools import accumulate, chain, compress, islice, product, repeat
 from operator import attrgetter, eq, getitem, index, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .gates import GateDefinition, is_bit
+from .gates import is_bit
 from .netlist import Netlist
 
 DEFAULT_INPUT_LIMIT = 20
@@ -102,7 +104,8 @@ class Counterexample(NamedTuple):
     actual: tuple[int, ...]
 
 
-def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, int]) -> None:
+def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, int]) -> list[int]:
+    """The bits that ``assignment`` binds to ``wires``, in wire order, once it binds exactly those wires to 0 or 1."""
     # the wires are distinct, so equal sizes and every wire bound leave no stray key; lists only on failure
     if not (len(assignment) == len(wires) and all(map(assignment.__contains__, wires))):
         missing = [w for w in wires if w not in assignment]
@@ -119,6 +122,8 @@ def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, 
     if not (set(map(type, values)) <= {int} and all(map(is_bit, set(values)))):
         bad = [w for w in wires if not is_bit(assignment[w])]
         raise ValueError(f"bindings must be 0 or 1: {', '.join(bad)}")
+    # read only once every wire is bound, so a defaultdict gains no key
+    return list(map(assignment.__getitem__, wires))
 
 
 def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
@@ -129,14 +134,13 @@ def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
     garbage, and all lines.
     """
     plan = netlist._plan
-    _check_assignment("input", netlist.primary_inputs, inputs)
-    values = [inputs[w] for w in netlist.primary_inputs]
+    values = _check_assignment("input", netlist.primary_inputs, inputs)
     values += plan.const_bits
     values += [0] * (len(plan.slots) - len(values))
     _apply_gates(plan, values, 1)
     all_lines = dict(zip(plan.slots, values))
-    primary = {wire: all_lines[wire] for wire in netlist.primary_outputs}
-    garbage = {wire: all_lines[wire] for wire in plan.garbage_wires}
+    primary = dict(zip(netlist.primary_outputs, map(values.__getitem__, plan.po_slots)))
+    garbage = dict(zip(plan.garbage_wires, map(values.__getitem__, plan.garbage_slots)))
     return TraceResult(primary, garbage, all_lines)
 
 
@@ -148,17 +152,18 @@ def run_inverse(netlist: Netlist, terminal: Mapping[str, int]) -> dict[str, int]
     and what each constant line must have been.
     """
     plan = netlist._plan
-    _check_assignment("terminal", plan.terminal_wires, terminal)
-    slots = plan.slots
-    values = [0] * len(slots)
-    for wire, bit in terminal.items():
-        values[slots[wire]] = bit
-    # the steps are not kept on the plan, since listing them costs a first call more than it saves
-    kernels = _kernels(plan.gates, attrgetter("inverse_anf"))
+    bits = _check_assignment("terminal", plan.terminal_wires, terminal)
+    values = [0] * len(plan.slots)
+    # the bits are checked to be 0 or 1, so writing the ones into the zeros binds every terminal
+    for slot in compress(chain(plan.po_slots, plan.garbage_slots), bits):
+        values[slot] = 1
+    # inverse steps are not kept on the plan, since listing them costs a first call more than it saves
+    kernels = {key: _anf_kernel(gate.inverse_anf) for key, gate in plan.distinct.items()}
     inverses = map(kernels.__getitem__, map(id, reversed(plan.gates)))
     _run_steps(zip(inverses, reversed(plan.out_slots), reversed(plan.in_slots)), values, 1)
-    sources = len(netlist.primary_inputs) + len(plan.const_bits)
-    return dict(zip(slots, values[:sources]))
+    # the sources fill the first slots: cut the list to them, not copy them, at the call's memory peak
+    del values[len(netlist.primary_inputs) + len(plan.const_bits) :]
+    return dict(zip(plan.slots, values))
 
 
 def _check_width(netlist: Netlist, limit: int) -> int:
@@ -250,7 +255,8 @@ class _Plan:
     from one lookup over all gate inputs and the write slots from one
     range, each split by arity.  ``steps[i]`` holds gate ``i``'s forward
     kernel beside those slots, looked up when the plan is built, once per
-    distinct gate object.
+    entry of ``distinct``: the distinct gate objects by id, which
+    ``run_inverse`` reads for its inverse kernels.
     """
 
     def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int]) -> None:
@@ -265,7 +271,9 @@ class _Plan:
         self.garbage_wires = garbage
         self.garbage_slots = tuple(map(slots.__getitem__, garbage))
         self.terminal_wires = netlist.primary_outputs + garbage
-        kernels = _kernels(self.gates, attrgetter("anf"))
+        # one kernel lookup per distinct gate object, not per gate: hashing every gate's ANF costs what the kernels save
+        self.distinct = dict(zip(map(id, self.gates), self.gates))
+        kernels = {key: _anf_kernel(gate.anf) for key, gate in self.distinct.items()}
         self.steps = list(zip(map(kernels.__getitem__, map(id, self.gates)), self.in_slots, self.out_slots))
 
 
@@ -284,16 +292,6 @@ def _apply_gates(plan: _Plan, values: list, one) -> None:
     column.
     """
     _run_steps(plan.steps, values, one)
-
-
-def _kernels(gates: Sequence[GateDefinition], normal_form: Callable[[GateDefinition], tuple]) -> dict[int, Callable]:
-    """The kernel of ``normal_form(gate)`` for each distinct gate object, keyed by its id.
-
-    One cache lookup per distinct gate object, not per gate: hashing every
-    gate's ANF costs what the kernels save.
-    """
-    distinct = dict(zip(map(id, gates), gates))
-    return {key: _anf_kernel(normal_form(gate)) for key, gate in distinct.items()}
 
 
 def _run_steps(steps: Iterable[tuple[Callable, Sequence[int], Sequence[int]]], values: list, one) -> None:

@@ -271,6 +271,18 @@ def test_empty_wire_lists_end_at_their_label(netfile, capsys):
     assert capsys.readouterr().out == "# inputs:\n# outputs:\n# garbage:\noutputs\ngarbage\n"
     assert main(["inverse", empty, "--out", ""]) == 0
     assert capsys.readouterr().out == "# terminals:\n# inputs:\ninputs\nconstants\n"
+    # an exhaustive row joins its non-empty parts by single spaces
+    assert main(["sim", empty, "--exhaustive", "--show-garbage"]) == 0
+    assert capsys.readouterr().out == "# inputs:\n# outputs:\n# garbage:\n-> |\n"
+    assert main(["sim", empty, "--exhaustive"]) == 0
+    assert capsys.readouterr().out == "# inputs:\n# outputs:\n->\n"
+    through = netfile("circuit c\ninputs a\noutputs\nend\n", "through.net")
+    assert main(["sim", through, "--exhaustive", "--show-garbage"]) == 0
+    assert capsys.readouterr().out == "# inputs: a\n# outputs:\n# garbage: a\n0 -> | 0\n1 -> | 1\n"
+    assert main(["sim", through, "--exhaustive"]) == 0
+    assert capsys.readouterr().out == "# inputs: a\n# outputs:\n0 ->\n1 ->\n"
+    assert main(["sim", full, "--exhaustive", "--show-garbage"]) == 0
+    assert all(re.fullmatch("[01]{4} -> [01]{4} \\|", line) for line in capsys.readouterr().out.splitlines()[3:])
 
 
 def test_inverse_round_trip(tmp_path, capsys):

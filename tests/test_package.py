@@ -82,28 +82,58 @@ def imported(stderr):
     return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
 
 
+# runs the command line as ``-m revlogic.cli`` does, then lists sys.modules: a load through
+# importlib.import_module, as the package's lazy exports make, is not in the importtime log
+RUN_CLI = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('revlogic.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('loaded:', *sorted(sys.modules), file=sys.stderr)\n"
+)
+
+
+def cli_loads(*argv):
+    """Run one command under ``-X importtime``: the process, the logged imports, and the ``revlogic`` modules loaded."""
+    proc = python("-X", "importtime", "-c", RUN_CLI, *argv)
+    loaded = [line.split()[1:] for line in proc.stderr.splitlines() if line.startswith("loaded:")]
+    assert len(loaded) == 1, proc.stderr
+    return proc, imported(proc.stderr), {m for m in loaded[0] if m.split(".")[0] == "revlogic"}
+
+
 # argparse and the two modules it loads for its messages, which the CLI's own argv reader replaces
 ARGPARSE = ("argparse", "gettext", "locale")
+TEXT_LAYERS = {"revlogic", "revlogic.gates", "revlogic.netlist", "revlogic.textio"}
 
 
 def test_validate_loads_only_the_text_layers(tmp_path):
     path = tmp_path / "c.net"
     path.write_text("circuit c\ninputs a b\ngate FG a b -> p q\noutputs p q\nend\n")
-    proc = python("-X", "importtime", "-m", "revlogic.cli", "validate", str(path))
+    proc, modules, loaded = cli_loads("validate", str(path))
     assert proc.returncode == 0 and proc.stdout == "ok\n"
-    modules = imported(proc.stderr)
-    assert {m for m in modules if m.startswith("revlogic")} == {"revlogic", "revlogic.gates", "revlogic.netlist", "revlogic.textio"}
+    assert {m for m in modules if m.startswith("revlogic")} == TEXT_LAYERS
     assert not modules & {"json", "dataclasses", "inspect", *ARGPARSE}
+    assert loaded == TEXT_LAYERS
 
 
 def test_metrics_json_loads_what_it_runs(tmp_path):
     path = tmp_path / "c.net"
     path.write_text("circuit c\ninputs a b\ngate FG a b -> p q\noutputs p q\nend\n")
-    proc = python("-X", "importtime", "-m", "revlogic.cli", "metrics", str(path), "--json")
+    proc, modules, loaded = cli_loads("metrics", str(path), "--json")
     assert proc.returncode == 0 and '"quantum_cost": 1' in proc.stdout
-    modules = imported(proc.stderr)
     assert {"revlogic.metrics", "json"} <= modules
     assert not modules & {"revlogic.simulate", "revlogic.builders", "dataclasses", "inspect", *ARGPARSE}
+    assert loaded == TEXT_LAYERS | {"revlogic.metrics"}
+
+
+def test_build_loads_the_builders_alone(tmp_path):
+    path = tmp_path / "b.net"
+    proc, modules, loaded = cli_loads("build", "bcd2", "-o", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_text() == serialize_netlist(build_bcd_adder("bcd2"))
+    assert "revlogic.builders" in modules
+    assert not modules & {"revlogic.simulate", "revlogic.metrics", "dataclasses", "inspect", *ARGPARSE}
+    assert loaded == TEXT_LAYERS | {"revlogic.builders"}
 
 
 def test_text_and_metrics_paths_load_no_simulator():

@@ -1,5 +1,6 @@
 """Simulator tests: forward runs, inverse recovery, truth tables, oracle checks."""
 
+import collections
 import gc
 import os
 import pickle
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -313,6 +315,60 @@ def test_a_same_size_binding_with_a_stray_wire_names_both():
     with pytest.raises(ValueError) as error:
         run_inverse(n, dict(swapped, stray=1))
     assert str(error.value) == f"missing terminal bindings: {lost}; unexpected bindings: stray"
+
+
+def test_a_defaultdict_that_misses_a_wire_is_refused_and_left_unchanged():
+    n = build_ripple_adder()
+    inputs = dict.fromkeys(n.primary_inputs, 0)
+    terminals = run(n, inputs).terminals
+    partial = collections.defaultdict(int, {w: b for w, b in inputs.items() if w != "cin"})
+    with pytest.raises(ValueError) as error:
+        run(n, partial)
+    assert str(error.value) == "missing input bindings: cin"
+    assert len(partial) == len(inputs) - 1
+    lost = next(reversed(terminals))
+    partial = collections.defaultdict(int, {w: b for w, b in terminals.items() if w != lost})
+    with pytest.raises(ValueError) as error:
+        run_inverse(n, partial)
+    assert str(error.value) == f"missing terminal bindings: {lost}"
+    assert len(partial) == len(terminals) - 1
+
+
+def test_a_read_only_mapping_binds_like_a_dict():
+    n, inputs = ripple_inputs(9, 6, 1)
+    result = run(n, types.MappingProxyType(inputs))
+    assert result == run(n, inputs)
+    assert run_inverse(n, types.MappingProxyType(result.terminals)) == dict(inputs, **dict(n.constants))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_run_inverse_gives_back_the_sources_of_a_chain(seed):
+    n = build_bcd_chain(50)
+    rng = random.Random(seed)
+    inputs = {w: rng.randint(0, 1) for w in n.primary_inputs}
+    assert run_inverse(n, run(n, inputs).terminals) == dict(inputs, **dict(n.constants))
+
+
+ROTATIONS = """\
+circuit r
+define ROT unknown 0 0 0 000 001 010 011 100 110 111 101
+inputs a b c d
+const k 1
+gate ROT a b c -> p q r
+gate ROT q r d -> s t u
+gate ROT u k p -> v w x
+outputs s v w
+end
+"""
+
+
+def test_run_inverse_gives_back_the_sources_through_a_gate_that_is_not_its_own_inverse():
+    n = parse_netlist(ROTATIONS)
+    rot = n.gates[0].gate
+    assert rot.inverse_table != rot.table
+    for pattern in range(1 << len(n.primary_inputs)):
+        inputs = dict(zip(n.primary_inputs, int_to_bits(pattern, len(n.primary_inputs))))
+        assert run_inverse(n, run(n, inputs).terminals) == dict(inputs, k=1)
 
 
 # --- the bit-sliced sweep against the scalar engine and the gate definitions ---
