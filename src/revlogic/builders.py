@@ -61,7 +61,8 @@ class _NetBuilder:
         return wire
 
     def gate(self, name: str, inputs: list[str], outputs: list[str]) -> None:
-        self.gates.append(GateInstance(builtin(name), tuple(inputs), tuple(outputs)))
+        # tuple.__new__ skips the record's Python-level __new__, which would copy the wire tuples again
+        self.gates.append(tuple.__new__(GateInstance, (builtin(name), tuple(inputs), tuple(outputs))))
 
     def build(self) -> Netlist:
         return Netlist(

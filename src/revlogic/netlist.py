@@ -15,10 +15,11 @@ are the garbage outputs.  Netlists are immutable after construction
 (``Netlist`` is a plain class on ``gates._Immutable``, so it behaves as
 a frozen dataclass without importing ``dataclasses``), so each one is
 checked at most once and compiled at most once: the first query
-records its validation findings, garbage and wire numbering (each
-wire's index in definition order), the simulator builds the evaluation
-plan on that numbering at the first simulation, and later calls read
-them.  Neither cache shows in equality, the hash, the repr or a pickle.
+records its validation findings, garbage, wire numbering (each wire's
+index in definition order) and read slots (the number of every wire a
+gate or the outputs read), the simulator builds the evaluation plan on
+them at the first simulation, and later calls read them.  Neither cache
+shows in equality, the hash, the repr or a pickle.
 
 The check accepts in bulk and explains on refusal.  Whole-list passes,
 run in C by ``map``, ``set``, ``zip`` and ``dict``, prove that a
@@ -88,10 +89,10 @@ class Netlist(_Immutable):
         return tuple(wire for wire, _ in self.constants)
 
     @cached_property
-    def _checked(self) -> tuple[tuple[Violation, ...], tuple[str, ...], dict[str, int]]:
-        """Findings, garbage and each wire's number in definition order (both empty when invalid), built on first use."""
-        violations, garbage, slots = _check(self)
-        return tuple(violations), tuple(garbage), slots
+    def _checked(self) -> tuple[tuple[Violation, ...], tuple[str, ...], dict[str, int], tuple[int, ...]]:
+        """Findings, then garbage, wire numbers and read slots (those three empty when invalid), built on first use."""
+        violations, garbage, slots, reads = _check(self)
+        return tuple(violations), tuple(garbage), slots, reads
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -132,8 +133,8 @@ class InvalidNetlistError(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-def _check(netlist: Netlist) -> tuple[list[Violation], list[str], dict[str, int]]:
-    """Every finding in reading order; with no error, also the garbage and each wire's number.
+def _check(netlist: Netlist) -> tuple[list[Violation], list[str], dict[str, int], tuple[int, ...]]:
+    """Every finding in reading order; with no error, also the garbage, each wire's number and the read slots.
 
     Definition order (inputs, constants, then each gate's outputs) is the netlist's
     one wire numbering: garbage is listed in it, and it is the plan's slots.
@@ -145,7 +146,10 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str], dict[str, int]
     if accepted is not None:
         return [], *accepted
     violations, garbage, order = _walk(netlist)
-    return violations, garbage, _numbered(order)
+    slots = _numbered(order)
+    if any(v.severity == "error" for v in violations):
+        return violations, garbage, slots, ()
+    return violations, garbage, slots, _reads(slots, map(attrgetter("inputs"), netlist.gates), netlist.primary_outputs)
 
 
 def _numbered(order: list[str]) -> dict[str, int]:
@@ -153,8 +157,13 @@ def _numbered(order: list[str]) -> dict[str, int]:
     return dict(zip(order, range(len(order))))
 
 
-def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int]] | None:
-    """The garbage and the numbered definition order when ``_walk`` would find nothing at all, else None.
+def _reads(slots: dict[str, int], inputs: Iterable[tuple[str, ...]], outputs: tuple[str, ...]) -> tuple[int, ...]:
+    """The slot of every read, one lookup each: the gates' ``inputs`` in gate order, then the primary ``outputs``."""
+    return tuple(map(slots.__getitem__, chain(chain.from_iterable(inputs), outputs)))
+
+
+def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...]] | None:
+    """The garbage, the numbered definition order and the read slots when ``_walk`` finds nothing at all, else None.
 
     Whole-list passes only, each in C: the defined names are exact ``str``
     identifiers (a ``str`` subclass is left to the walk) and distinct; the
@@ -193,7 +202,7 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int]] | None:
     if not list(map(len, ins)) == arities == list(map(len, outs)):
         return None
     try:
-        reads = list(map(slots.__getitem__, [*chain.from_iterable(ins), *outputs]))
+        reads = _reads(slots, ins, outputs)
     except (KeyError, TypeError):  # an undefined or unhashable read
         return None
     consumed = set(reads)
@@ -209,7 +218,7 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int]] | None:
     # with every read defined and the arities right, line conservation holds exactly when no wire is read twice
     if sources != len(outputs) + len(garbage):
         return None
-    return garbage, slots
+    return garbage, slots, reads
 
 
 def _walk(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:

@@ -23,7 +23,9 @@ form of its ``inverse_table``) from output to input slots in reverse
 order, and so recovers the source lines.  It looks the inverse kernels
 up once per call in the plan's table of distinct gate objects, not once
 per gate.  Both take the checked bindings as one list in wire order and
-move bits through the plan's slots, with no per-wire dict lookup.
+move bits through the plan's slots, with no per-wire dict lookup.  The
+read slots come from one lookup over all gate inputs, which validation
+made and kept.
 
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
@@ -106,24 +108,24 @@ class Counterexample(NamedTuple):
 
 def _check_assignment(kind: str, wires: Sequence[str], assignment: Mapping[str, int]) -> list[int]:
     """The bits that ``assignment`` binds to ``wires``, in wire order, once it binds exactly those wires to 0 or 1."""
-    # the wires are distinct, so equal sizes and every wire bound leave no stray key; lists only on failure
-    if not (len(assignment) == len(wires) and all(map(assignment.__contains__, wires))):
-        missing = [w for w in wires if w not in assignment]
-        expected = set(wires)
-        extra = [w for w in assignment if w not in expected]
-        parts = []
-        if missing:
-            parts.append(f"missing {kind} bindings: {', '.join(missing)}")
-        if extra:
-            parts.append(f"unexpected bindings: {', '.join(extra)}")
+    # one read per wire; get inserts no key, even in a defaultdict, and reads None for an unbound wire
+    bits = list(map(assignment.get, wires))
+    # the wires are distinct, so equal sizes and an int read for every wire leave no stray key.
+    # is_bit on each distinct bit, not on each wire, once all are ints: True and 1.0 are equal to 1
+    if len(assignment) == len(wires) and set(map(type, bits)) <= {int} and all(map(is_bit, set(bits))):
+        return bits
+    missing = [w for w in wires if w not in assignment]
+    expected = set(wires)
+    extra = [w for w in assignment if w not in expected]
+    parts = []
+    if missing:
+        parts.append(f"missing {kind} bindings: {', '.join(missing)}")
+    if extra:
+        parts.append(f"unexpected bindings: {', '.join(extra)}")
+    if parts:
         raise ValueError("; ".join(parts))
-    values = assignment.values()
-    # is_bit on each distinct value, not on each wire, once all are ints: True and 1.0 are equal to 1
-    if not (set(map(type, values)) <= {int} and all(map(is_bit, set(values)))):
-        bad = [w for w in wires if not is_bit(assignment[w])]
-        raise ValueError(f"bindings must be 0 or 1: {', '.join(bad)}")
-    # read only once every wire is bound, so a defaultdict gains no key
-    return list(map(assignment.__getitem__, wires))
+    bad = [w for w in wires if not is_bit(assignment[w])]
+    raise ValueError(f"bindings must be 0 or 1: {', '.join(bad)}")
 
 
 def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
@@ -138,7 +140,8 @@ def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
     values += plan.const_bits
     values += [0] * (len(plan.slots) - len(values))
     _apply_gates(plan, values, 1)
-    all_lines = dict(zip(plan.slots, values))
+    all_lines = plan.slots.copy()  # a copy has room for every wire, so the update never resizes it
+    all_lines.update(zip(plan.slots, values))
     primary = dict(zip(netlist.primary_outputs, map(values.__getitem__, plan.po_slots)))
     garbage = dict(zip(plan.garbage_wires, map(values.__getitem__, plan.garbage_slots)))
     return TraceResult(primary, garbage, all_lines)
@@ -252,22 +255,23 @@ class _Plan:
     the next ones, and each gate's outputs the consecutive slots after
     the gates before it.  Gate ``i`` is ``gates[i]``, reading
     ``in_slots[i]`` and writing ``out_slots[i]``: the read slots come
-    from one lookup over all gate inputs and the write slots from one
-    range, each split by arity.  ``steps[i]`` holds gate ``i``'s forward
-    kernel beside those slots, looked up when the plan is built, once per
-    entry of ``distinct``: the distinct gate objects by id, which
+    from one lookup over all gate inputs, then the primary outputs
+    (``po_slots``), which validation made and kept, and the write slots
+    from one range, each split by arity.  ``steps[i]`` holds gate ``i``'s
+    forward kernel beside those slots, looked up when the plan is built,
+    once per entry of ``distinct``: the distinct gate objects by id, which
     ``run_inverse`` reads for its inverse kernels.
     """
 
-    def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int]) -> None:
+    def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int], reads: tuple[int, ...]):
         self.slots = slots
         self.const_bits = tuple(map(itemgetter(1), netlist.constants))
         self.gates = tuple(map(attrgetter("gate"), netlist.gates))
         arities = list(map(attrgetter("arity"), self.gates))
-        reads = tuple(map(slots.__getitem__, chain.from_iterable(map(attrgetter("inputs"), netlist.gates))))
+        gate_reads = len(reads) - len(netlist.primary_outputs)  # as many as the gates write, into the last slots
         self.in_slots = _split(reads, arities)
-        self.out_slots = _split(tuple(range(len(slots) - len(reads), len(slots))), arities)
-        self.po_slots = tuple(map(slots.__getitem__, netlist.primary_outputs))
+        self.out_slots = _split(tuple(range(len(slots) - gate_reads, len(slots))), arities)
+        self.po_slots = reads[gate_reads:]
         self.garbage_wires = garbage
         self.garbage_slots = tuple(map(slots.__getitem__, garbage))
         self.terminal_wires = netlist.primary_outputs + garbage

@@ -71,8 +71,11 @@ def _tokenize(text: str):
     # would also end them at \f, \v, \x1c-\x1e, \x85, U+2028 and U+2029
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        tokens = raw.split("#", 1)[0].split()
+    lines = text.split("\n")
+    if "#" in text:  # a generated document has no comment, so its lines are split as they are
+        lines = (line.partition("#")[0] for line in lines)
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
         if tokens:
             yield lineno, tokens
 
@@ -171,7 +174,7 @@ def parse_netlist(text: str) -> Netlist:
                 if "->" not in tokens:
                     raise fail(lineno, 2, "syntax", "gate line is missing '->'")
                 arrow = tokens.index("->")
-                gates.append(GateInstance(gate, tokens[2:arrow], tokens[arrow + 1 :]))
+                gates.append(tuple.__new__(GateInstance, (gate, tuple(tokens[2:arrow]), tuple(tokens[arrow + 1 :]))))
                 gate_at.append(lineno)
             elif key == "outputs":
                 outputs, outputs_at = tokens[1:], lineno

@@ -269,6 +269,8 @@ def test_plan_numbers_wires_in_definition_order(seed):
     slot = {wire: k for k, wire in enumerate(order)}
     assert n._plan.in_slots == [tuple(slot[w] for w in inst.inputs) for inst in n.gates]
     assert n._plan.out_slots == [tuple(slot[w] for w in inst.outputs) for inst in n.gates]
+    assert n._plan.po_slots == tuple(slot[w] for w in n.primary_outputs)
+    assert n._plan.garbage_slots == tuple(slot[w] for w in garbage_wires(n))
 
 
 def test_fan_out_deep_in_a_long_chain_is_placed_by_the_walk():
@@ -535,4 +537,7 @@ def test_bulk_acceptance_agrees_with_the_walk(seed, edit):
         assert accepted[0] == garbage
         assert list(accepted[1].items()) == [(wire, slot) for slot, wire in enumerate(order)]
     numbered = {wire: slot for slot, wire in enumerate(order)}
-    assert revlogic.netlist._check(n) == (violations, garbage, numbered)
+    # the read slots: every gate input in gate order, then the primary outputs; none for a netlist with an error
+    reads = [w for inst in n.gates for w in inst.inputs] + list(n.primary_outputs)
+    read_slots = () if any(v.severity == "error" for v in violations) else tuple(numbered[w] for w in reads)
+    assert revlogic.netlist._check(n) == (violations, garbage, numbered, read_slots)

@@ -105,7 +105,7 @@ def test_run_checks_bindings():
         run(n, {"a": 1, "b": 2})
 
 
-@pytest.mark.parametrize("value", [True, False, 1.0, 0.0])
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0, None])
 def test_bindings_that_are_not_int_bits_are_refused(value):
     n = build_ripple_adder()
     inputs = dict.fromkeys(n.primary_inputs, 0)

@@ -174,6 +174,17 @@ def test_parse_with_declared_gate():
             assert diagnostics_of(text.replace(define, " ".join(tokens) + "\n"))[0][:3] == (2, 1, "bad-gate-definition")
 
 
+def test_gate_records_are_exact_named_tuples_of_wire_tuples():
+    built = build_bcd_chain(3)
+    parsed = parse_netlist(serialize_netlist(built))
+    declared = parse_netlist("circuit s\ndefine SWAP 3 0 0 0 00 10 01 11\ninputs a b\ngate SWAP a b -> p q\noutputs p q\nend\n")
+    for n in (built, parsed, declared):
+        for inst in n.gates:
+            assert type(inst) is GateInstance
+            assert type(inst.inputs) is type(inst.outputs) is tuple
+    assert parsed == built and hash(parsed) == hash(built)
+
+
 def test_counts_at_the_bound_round_trip():
     gate = GateDefinition("X", 1, (1, 0), MAX_COST, LogicCost(MAX_COST, MAX_COST, MAX_COST))
     n = Netlist("c", ("a",), (), (GateInstance(gate, ("a",), ("p",)),), ("p",))
