@@ -19,7 +19,9 @@ records its validation findings, garbage, wire numbering (each wire's
 index in definition order) and read slots (the number of every wire a
 gate or the outputs read), the simulator builds the evaluation plan on
 them at the first simulation, and later calls read them.  Neither cache
-shows in equality, the hash, the repr or a pickle.
+shows in equality, the hash, the repr or a pickle.  Constants given as
+exact ``(wire, bit)`` tuples are kept as given; only other forms are
+rebuilt.
 
 The check accepts in bulk and explains on refusal.  Whole-list passes,
 run in C by ``map``, ``set``, ``zip`` and ``dict``, prove that a
@@ -31,7 +33,7 @@ positions are made.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, chain, filterfalse, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -68,7 +70,8 @@ class Netlist(_Immutable):
     """Ordered wiring of gate instances with explicit input/constant/output roles.
 
     Every sequence field is stored as a tuple, and each constant as a
-    ``(wire, bit)`` pair, whatever sequences they are given as.
+    ``(wire, bit)`` pair, whatever sequences they are given as.  When
+    every constant is an exact 2-tuple, those tuples are kept as given.
     """
 
     __match_args__ = ("name", "primary_inputs", "constants", "gates", "primary_outputs")
@@ -81,7 +84,9 @@ class Netlist(_Immutable):
         gates: Iterable[GateInstance],
         primary_outputs: Iterable[str],
     ) -> None:
-        constants = tuple((w, b) for w, b in constants)
+        constants = tuple(constants)
+        if not (set(map(type, constants)) <= {tuple} and set(map(len, constants)) <= {2}):  # exact pairs are kept
+            constants = tuple((w, b) for w, b in constants)
         self._set_fields(name, tuple(primary_inputs), constants, tuple(gates), tuple(primary_outputs))
 
     @property
@@ -172,7 +177,9 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...
     as lines; every read (gate inputs, then primary outputs) names a
     defined wire, and a gate's reads come before its first output in
     definition order; every constant is read; and line conservation
-    holds, which here means that no wire is read twice.
+    holds, which here means that no wire is read twice.  Each read is
+    marked in a bytearray of one byte per slot, so the garbage is the
+    unmarked slots and no set of reads is built.
     """
     if not is_identifier(netlist.name):
         return None
@@ -205,16 +212,17 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...
         reads = _reads(slots, ins, outputs)
     except (KeyError, TypeError):  # an undefined or unhashable read
         return None
-    consumed = set(reads)
+    unread = bytearray(b"\x01") * len(order)
+    any(map(unread.__setitem__, reads, repeat(0)))  # one mark per read slot, in C
     sources = len(netlist.primary_inputs) + len(bits)
     # gate outputs are numbered in gate order, so gate i's first output slot is sources plus the arities before it
     firsts = accumulate(arities, initial=sources)
     if not (
         all(map(lt, reads, chain.from_iterable(map(repeat, firsts, arities))))
-        and consumed.issuperset(range(len(netlist.primary_inputs), sources))
+        and unread.find(1, len(netlist.primary_inputs), sources) < 0
     ):
         return None
-    garbage = list(map(order.__getitem__, filterfalse(consumed.__contains__, range(len(order)))))
+    garbage = list(compress(order, unread))
     # with every read defined and the arities right, line conservation holds exactly when no wire is read twice
     if sources != len(outputs) + len(garbage):
         return None

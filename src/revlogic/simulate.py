@@ -10,12 +10,12 @@ build them, with equal results.  The plan, ``_Plan``, lives here, the
 one module that builds or reads it, and is complete once built.
 
 Every engine reads that one plan: each gate's definition, its input and
-output slots, and its forward kernel.  A wire's slot is its place in the
-definition order that validation recorded, so the primary inputs fill
-the first slots and the constants the next ones: ``run`` and the block
-engine write the sources there, and ``run_inverse`` reads them back from
-there.  Every engine applies gates through one gate loop over compiled
-ANF kernels, described below.  ``run`` passes one pattern as 0/1 ints,
+output slots, and its forward kernel, each in a list in gate order.  A
+wire's slot is its place in the definition order that validation
+recorded, so the primary inputs fill the first slots and the constants
+the next ones: ``run`` and the block engine write the sources there, and
+``run_inverse`` reads them back from there.  Every engine applies gates
+through one gate loop over compiled ANF kernels, described below.  ``run`` passes one pattern as 0/1 ints,
 with 1 as ``one``, and applies each gate's ``anf`` kernel from input to
 output slots in gate order.  Because every gate is a bijection,
 ``run_inverse`` applies each gate's ``inverse_anf`` kernel (the normal
@@ -25,7 +25,9 @@ up once per call in the plan's table of distinct gate objects, not once
 per gate.  Both take the checked bindings as one list in wire order and
 move bits through the plan's slots, with no per-wire dict lookup.  The
 read slots come from one lookup over all gate inputs, which validation
-made and kept.
+made and kept, and the write slots are the numbering's own ints, so a
+plan makes no slot number and no per-gate record beyond its slot
+tuples.
 
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
@@ -257,10 +259,10 @@ class _Plan:
     ``in_slots[i]`` and writing ``out_slots[i]``: the read slots come
     from one lookup over all gate inputs, then the primary outputs
     (``po_slots``), which validation made and kept, and the write slots
-    from one range, each split by arity.  ``steps[i]`` holds gate ``i``'s
-    forward kernel beside those slots, looked up when the plan is built,
-    once per entry of ``distinct``: the distinct gate objects by id, which
-    ``run_inverse`` reads for its inverse kernels.
+    from the tail of the numbering's own values, each split by arity.
+    ``kernels[i]`` is gate ``i``'s forward kernel, looked up when the
+    plan is built, once per entry of ``distinct``: the distinct gate
+    objects by id, which ``run_inverse`` reads for its inverse kernels.
     """
 
     def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int], reads: tuple[int, ...]):
@@ -270,7 +272,7 @@ class _Plan:
         arities = list(map(attrgetter("arity"), self.gates))
         gate_reads = len(reads) - len(netlist.primary_outputs)  # as many as the gates write, into the last slots
         self.in_slots = _split(reads, arities)
-        self.out_slots = _split(tuple(range(len(slots) - gate_reads, len(slots))), arities)
+        self.out_slots = _split(tuple(islice(slots.values(), len(slots) - gate_reads, None)), arities)
         self.po_slots = reads[gate_reads:]
         self.garbage_wires = garbage
         self.garbage_slots = tuple(map(slots.__getitem__, garbage))
@@ -278,7 +280,7 @@ class _Plan:
         # one kernel lookup per distinct gate object, not per gate: hashing every gate's ANF costs what the kernels save
         self.distinct = dict(zip(map(id, self.gates), self.gates))
         kernels = {key: _anf_kernel(gate.anf) for key, gate in self.distinct.items()}
-        self.steps = list(zip(map(kernels.__getitem__, map(id, self.gates)), self.in_slots, self.out_slots))
+        self.kernels = list(map(kernels.__getitem__, map(id, self.gates)))
 
 
 def _split(flat: tuple[int, ...], sizes: Iterable[int]) -> list[tuple[int, ...]]:
@@ -295,7 +297,7 @@ def _apply_gates(plan: _Plan, values: list, one) -> None:
     passes bits and 1, the block engine int columns and the all-ones
     column.
     """
-    _run_steps(plan.steps, values, one)
+    _run_steps(zip(plan.kernels, plan.in_slots, plan.out_slots), values, one)
 
 
 def _run_steps(steps: Iterable[tuple[Callable, Sequence[int], Sequence[int]]], values: list, one) -> None:

@@ -36,6 +36,7 @@ parsed.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .gates import BUILTIN_GATES, GateDefinition, LogicCost
@@ -74,10 +75,7 @@ def _tokenize(text: str):
     lines = text.split("\n")
     if "#" in text:  # a generated document has no comment, so its lines are split as they are
         lines = (line.partition("#")[0] for line in lines)
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if tokens:
-            yield lineno, tokens
+    return filter(itemgetter(1), enumerate(map(str.split, lines), start=1))  # (line number, tokens) of each line with a token
 
 
 def _count(token: str, rule: str) -> int:

@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -414,6 +415,31 @@ def test_gate_instance_holds_tuples():
     assert replaced.inputs == ("x", "y") and type(replaced.inputs) is tuple
 
 
+class ConstantPair(NamedTuple):
+    wire: str
+    bit: int
+
+
+def test_exact_constant_pairs_are_kept_and_others_rebuilt():
+    given = (("k0", 0), ("k1", 1))
+    n = Netlist("consts", ("a",), given, (), ("a",))
+    assert all(kept is pair for kept, pair in zip(n.constants, given))
+    assert Netlist("consts", ("a",), iter(given), (), ("a",)).constants[1] is given[1]
+    # anything but exact 2-tuples comes out as plain (wire, bit) tuples
+    for other in (
+        [["k0", 0], ["k1", 1]],
+        [ConstantPair("k0", 0), ConstantPair("k1", 1)],
+        [iter(("k0", 0)), iter(("k1", 1))],
+        [("k0", 0), ["k1", 1]],
+    ):
+        m = Netlist("consts", ("a",), other, (), ("a",))
+        assert m.constants == given and all(type(pair) is tuple for pair in m.constants)
+        assert m == n and hash(m) == hash(n)
+    for bad in ([("k0",)], [("k0", 0, 1)], [("k0", 0), ("k1",)], [("k0", 0), "k12"]):
+        with pytest.raises(ValueError):
+            Netlist("consts", ("a",), bad, (), ("a",))
+
+
 # names of every type a netlist built in code might carry; only some strs follow the name rule
 ANY_NAME = (
     st.none()
@@ -528,6 +554,10 @@ def test_bulk_acceptance_agrees_with_the_walk(seed, edit):
     n = random_netlist(rng)
     assume(n.gates)
     n = single_edit(n, rng, edit)
+    assert_bulk_agrees_with_walk(n)
+
+
+def assert_bulk_agrees_with_walk(n: Netlist) -> None:
     violations, garbage, order = revlogic.netlist._walk(n)
     defined = [*n.primary_inputs, *n.constant_wires, *(w for inst in n.gates for w in inst.outputs)]
     accepted = revlogic.netlist._accept(n)
@@ -541,3 +571,23 @@ def test_bulk_acceptance_agrees_with_the_walk(seed, edit):
     reads = [w for inst in n.gates for w in inst.inputs] + list(n.primary_outputs)
     read_slots = () if any(v.severity == "error" for v in violations) else tuple(numbered[w] for w in reads)
     assert revlogic.netlist._check(n) == (violations, garbage, numbered, read_slots)
+
+
+BK_GATE = GateInstance(FG, ("b", "k"), ("p", "q"))
+
+
+@pytest.mark.parametrize(
+    "constants, gates, outputs, rule",
+    [
+        ((("k", 0),), (BK_GATE,), ("p", "q"), None),  # an unread input is garbage
+        ((("k", 0), ("spare", 1)), (BK_GATE,), ("p", "q"), "unused-constant"),
+        ((("spare", 1), ("k", 0)), (BK_GATE,), ("p", "q"), "unused-constant"),
+        ((("k", 0),), (BK_GATE,), ("p", "q", "k"), "fan-out"),  # read by the gate and the outputs
+        ((("k", 0),), (BK_GATE,), ("p", "k", "q"), "fan-out"),
+        ((("k", 0),), (BK_GATE, GateInstance(FG, ("k", "p"), ("r", "s"))), ("q", "r", "s"), "fan-out"),  # by two gates
+    ],
+)
+def test_bulk_acceptance_agrees_with_the_walk_on_constants(constants, gates, outputs, rule):
+    n = Netlist("consts", ("a", "b"), constants, gates, outputs)
+    assert_bulk_agrees_with_walk(n)
+    assert [v.rule for v in validate(n)] == ([rule] if rule else [])

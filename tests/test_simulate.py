@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import operator
 import os
 import pickle
 import random
@@ -12,6 +13,7 @@ import time
 import tracemalloc
 import types
 from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -862,17 +864,36 @@ def test_equal_tables_share_one_kernel():
         n = Netlist("one", ("a", "b"), (), (GateInstance(gate, ("a", "b"), ("p", "q")),), ("p", "q"))
         truth_table(n)
         plans.append(n._plan)
-    assert plans[0].steps[0][0] is plans[1].steps[0][0]
+    assert plans[0].kernels[0] is plans[1].kernels[0]
 
 
 def test_plan_is_complete_when_built():
     n = wide_netlist()
     plan = n._plan  # read before any run
-    assert len(plan.steps) == len(n.gates)
-    for i, (inst, step) in enumerate(zip(n.gates, plan.steps)):
-        kernel = simulate._anf_kernel(inst.gate.anf)
-        assert step == (kernel, plan.in_slots[i], plan.out_slots[i])
-        assert step[0] is kernel
+    assert len(plan.kernels) == len(plan.in_slots) == len(plan.out_slots) == len(n.gates)
+    for i, inst in enumerate(n.gates):
+        assert plan.kernels[i] is simulate._anf_kernel(inst.gate.anf)
+
+
+def test_plan_keeps_few_objects_per_gate():
+    n = build_bcd_chain(50)
+    checked = n._checked[1:]
+    simulate._Plan(n, *checked)  # compiles the kernels first
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        plan = simulate._Plan(n, *checked)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    # the read and write slot tuples of each gate, and no per-gate step
+    assert added <= 2 * len(n.gates) + 50
+    # the write slots are the numbering's own ints, not copies of them
+    writes = list(chain.from_iterable(plan.out_slots))
+    tail = list(plan.slots.values())[len(plan.slots) - len(writes) :]
+    assert len(writes) == sum(inst.gate.arity for inst in n.gates)
+    assert all(map(operator.is_, writes, tail))
 
 
 def test_kernels_compile_once_per_gate_kind():
