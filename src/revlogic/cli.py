@@ -179,6 +179,8 @@ def _cmd_check_adder(args: SimpleNamespace) -> int:
 
     if args.kind != "bcd-chain" and args.digits is not None:
         raise _UsageError("--digits is only valid with --kind bcd-chain")
+    if args.digits is not None and args.digits < 1:
+        raise _UsageError("digit count must be >= 1")
     netlist = _load(args.file)
     n_inputs = len(netlist.primary_inputs)
     if args.kind == "ripple4":

@@ -13,21 +13,24 @@ Every engine reads that one plan: each gate's definition, its input and
 output slots, and its forward kernel, each in a list in gate order.  A
 wire's slot is its place in the definition order that validation
 recorded, so the primary inputs fill the first slots and the constants
-the next ones: ``run`` and the block engine write the sources there, and
-``run_inverse`` reads them back from there.  Every engine applies gates
-through one gate loop over compiled ANF kernels, described below.  ``run`` passes one pattern as 0/1 ints,
-with 1 as ``one``, and applies each gate's ``anf`` kernel from input to
-output slots in gate order.  Because every gate is a bijection,
-``run_inverse`` applies each gate's ``inverse_anf`` kernel (the normal
-form of its ``inverse_table``) from output to input slots in reverse
-order, and so recovers the source lines.  It looks the inverse kernels
-up once per call in the plan's table of distinct gate objects, not once
-per gate.  Both take the checked bindings as one list in wire order and
-move bits through the plan's slots, with no per-wire dict lookup.  The
-read slots come from one lookup over all gate inputs, which validation
-made and kept, and the write slots are the numbering's own ints, so a
-plan makes no slot number and no per-gate record beyond its slot
-tuples.
+the next ones.  ``_evaluate`` is the one forward step: it writes the
+primary-input values into the first slots, ``one`` into each slot of
+the plan's ``one_slots`` (the constants that are 1) and ``zero`` into
+every other slot, then applies each gate's ``anf`` kernel from input to
+output slots in gate order.  ``run`` calls it on one pattern as 0/1
+ints, and the block engine on int columns, described below.  Because
+every gate is a bijection, ``run_inverse`` applies each gate's
+``inverse_anf`` kernel (the normal form of its ``inverse_table``) from
+output to input slots in reverse order, and so reads the source lines
+back from the first slots.  It looks the inverse kernels up once per
+call in the plan's table of distinct gate objects, not once per gate.
+Both directions go through one gate loop over compiled ANF kernels.
+``run`` and ``run_inverse`` take the checked bindings as one list in
+wire order and move bits through the plan's slots, with no per-wire
+dict lookup.  The read slots come from one lookup over all gate inputs,
+which validation made and kept, and the write slots are the
+numbering's own ints, so a plan makes no slot number and no per-gate
+record beyond its slot tuples.
 
 Exhaustive sweeps (``truth_table`` and ``check_equivalence``) are
 bit-sliced: patterns are taken in aligned blocks of 64, 64, 128, ...
@@ -42,23 +45,12 @@ one function per kind, whose source is built from ints only (slot
 positions and monomial masks), never from a name or other document
 text.  The compiled kernels sit in a bounded cache keyed by ANF, and
 each plan looks its forward kernels up as it is built, one lookup per
-distinct gate object.  The gate loop uses only ``^``, ``&`` and a
-supplied one, so it runs over any Boolean ring.
+distinct gate object.  ``_evaluate`` uses only ``^``, ``&`` and the
+supplied zero and one, so it runs over any Boolean ring.
 
-``truth_table`` runs the block engine over every block in the call and
-keeps only the primary-output and garbage columns: (outputs + garbage)
-x 2^k bits, about 1 MB for the 2^17 patterns of bcd-chain 2.  It returns
-them as a ``TruthTable``, a read-only ``Sequence`` whose rows are built
-when they are read; a row's inputs follow from its index.  Iteration,
-the one row path, builds one block's rows at a time in C, by
-``tuple.__new__`` on the row type, so a caller that streams the table
-(``sim --exhaustive``) holds the columns, not the rows.  With at most
-12 primary outputs, and no more outputs than inputs, a block's outputs
-are read as one code per pattern, by whole-column int operations, and
-each code is looked up in one cached table that holds every output
-tuple once; an int index reads the same table.  Equal output tuples are
-then one object across the whole table.  The table holds no rows, so
-the cyclic garbage collector has nothing of it to scan.
+``truth_table`` keeps only the primary-output and garbage columns of
+every block, as a ``TruthTable`` that builds rows when they are read;
+``check_equivalence`` reads each block's output rows and drops them.
 """
 
 from __future__ import annotations
@@ -66,11 +58,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, product, repeat
+from itertools import accumulate, chain, compress, count, islice, product, repeat
 from operator import attrgetter, eq, getitem, index, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .gates import is_bit
+from .gates import int_to_bits, is_bit
 from .netlist import Netlist
 
 DEFAULT_INPUT_LIMIT = 20
@@ -138,10 +130,7 @@ def run(netlist: Netlist, inputs: Mapping[str, int]) -> TraceResult:
     garbage, and all lines.
     """
     plan = netlist._plan
-    values = _check_assignment("input", netlist.primary_inputs, inputs)
-    values += plan.const_bits
-    values += [0] * (len(plan.slots) - len(values))
-    _apply_gates(plan, values, 1)
+    values = _evaluate(plan, _check_assignment("input", netlist.primary_inputs, inputs), 0, 1)
     all_lines = plan.slots.copy()  # a copy has room for every wire, so the update never resizes it
     all_lines.update(zip(plan.slots, values))
     primary = dict(zip(netlist.primary_outputs, map(values.__getitem__, plan.po_slots)))
@@ -167,7 +156,7 @@ def run_inverse(netlist: Netlist, terminal: Mapping[str, int]) -> dict[str, int]
     inverses = map(kernels.__getitem__, map(id, reversed(plan.gates)))
     _run_steps(zip(inverses, reversed(plan.out_slots), reversed(plan.in_slots)), values, 1)
     # the sources fill the first slots: cut the list to them, not copy them, at the call's memory peak
-    del values[len(netlist.primary_inputs) + len(plan.const_bits) :]
+    del values[len(netlist.primary_inputs) + len(netlist.constants) :]
     return dict(zip(plan.slots, values))
 
 
@@ -263,11 +252,14 @@ class _Plan:
     ``kernels[i]`` is gate ``i``'s forward kernel, looked up when the
     plan is built, once per entry of ``distinct``: the distinct gate
     objects by id, which ``run_inverse`` reads for its inverse kernels.
+    ``one_slots`` holds the slots of the constants that are 1:
+    ``_evaluate``, the one forward step, writes ``one`` there and
+    ``zero`` on the other constants.
     """
 
     def __init__(self, netlist: Netlist, garbage: tuple[str, ...], slots: dict[str, int], reads: tuple[int, ...]):
         self.slots = slots
-        self.const_bits = tuple(map(itemgetter(1), netlist.constants))
+        self.one_slots = tuple(compress(count(len(netlist.primary_inputs)), map(itemgetter(1), netlist.constants)))
         self.gates = tuple(map(attrgetter("gate"), netlist.gates))
         arities = list(map(attrgetter("arity"), self.gates))
         gate_reads = len(reads) - len(netlist.primary_outputs)  # as many as the gates write, into the last slots
@@ -289,15 +281,18 @@ def _split(flat: tuple[int, ...], sizes: Iterable[int]) -> list[tuple[int, ...]]
     return list(map(flat.__getitem__, map(slice, ends, ends[1:])))
 
 
-def _apply_gates(plan: _Plan, values: list, one) -> None:
-    """Apply every gate of ``plan`` to ``values`` in gate order, each through its kind's ANF kernel.
+def _evaluate(plan: _Plan, inputs: list, zero, one) -> list:
+    """Every slot's value after the gates, from ``inputs`` first, ``one`` on each constant 1, ``zero`` elsewhere.
 
-    ``values`` holds one value per slot, with the sources filled in.  Only
-    ``^``, ``&`` and ``one`` touch them, so any Boolean ring serves: ``run``
-    passes bits and 1, the block engine int columns and the all-ones
-    column.
+    Each gate is applied in gate order through its kind's ANF kernel.
+    ``run`` passes bits, and the block engine int columns with the
+    all-ones column as ``one``.
     """
+    values = inputs + [zero] * (len(plan.slots) - len(inputs))
+    for slot in plan.one_slots:
+        values[slot] = one
     _run_steps(zip(plan.kernels, plan.in_slots, plan.out_slots), values, one)
+    return values
 
 
 def _run_steps(steps: Iterable[tuple[Callable, Sequence[int], Sequence[int]]], values: list, one) -> None:
@@ -311,14 +306,8 @@ def _block_columns(plan: _Plan, width: int) -> Iterator[tuple[int, list[int]]]:
     for start, size in _blocks(width):
         ones = (1 << size) - 1
         low = _low_columns(size)
-        values = [0] * len(plan.slots)
-        for slot in range(width):
-            bit = width - 1 - slot
-            values[slot] = low[bit] if bit < len(low) else ones * (start >> bit & 1)
-        for slot, bit in enumerate(plan.const_bits, width):
-            values[slot] = ones * bit
-        _apply_gates(plan, values, ones)
-        yield size, values
+        columns = [low[bit] if bit < len(low) else ones * (start >> bit & 1) for bit in reversed(range(width))]
+        yield size, _evaluate(plan, columns, 0, ones)
 
 
 def _bit_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
@@ -361,8 +350,10 @@ class TruthTable(Sequence):
     columns; a slice gives a list of rows.  With at most 12 outputs, and
     no more outputs than inputs, every read takes a row's outputs from
     one cached table of every output tuple, so equal output tuples are
-    one object across the whole table.  The table equals another
-    table or a list holding equal rows, and, like a list, is unhashable.
+    one object across the whole table.  The table holds no rows, so the
+    cyclic garbage collector has nothing of it to scan.  It equals
+    another table or a list holding equal rows, and, like a list, is
+    unhashable.
     Tables are built by ``truth_table``.
     """
 
@@ -429,7 +420,7 @@ class TruthTable(Sequence):
         block = bisect_right(self._starts, position) - 1
         shift = position - self._starts[block]
         bits = tuple(column >> shift & 1 for column in self._columns[block])
-        inputs = tuple(position >> bit & 1 for bit in reversed(range(self._width)))
+        inputs = tuple(int_to_bits(position, self._width))
         outputs = next(_coded_rows(bits, self._outputs, 1)) if self._coded else bits[: self._outputs]
         return TruthTableRow(inputs, outputs, bits[self._outputs :])
 

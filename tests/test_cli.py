@@ -368,6 +368,20 @@ def test_check_adder_chain_layout_named_when_digits_inferred(tmp_path, capsys):
     assert "8 primary inputs do not match a 1-digit chain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_check_adder_refuses_a_digit_count_below_one(digits, tmp_path, capsys):
+    # the message build gives for the same count, not a layout mismatch against a count of no chain
+    path = str(tmp_path / "c.net")
+    main(["build", "bcd-chain", "1", "-o", path])
+    capsys.readouterr()
+    assert main(["check-adder", path, "--kind", "bcd-chain", "--digits", digits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: digit count must be >= 1\n"
+    assert main(["build", "bcd-chain", digits]) == 2
+    assert capsys.readouterr().err == "error: digit count must be >= 1\n"
+
+
 def test_check_adder_bcd_without_carry_in(tmp_path, capsys):
     # 8 primary inputs: the carry in is a constant line
     path = str(tmp_path / "b.net")

@@ -933,13 +933,8 @@ class GF2Poly:
 
 def polynomial_lines(n):
     """Every slot of ``n`` as a polynomial, from the gate loop run with input k as variable k."""
-    plan = n._plan
-    one, zero = GF2Poly({frozenset()}), GF2Poly()
-    values = [GF2Poly({frozenset({k})}) for k in range(len(n.primary_inputs))]
-    values += [one if bit else zero for bit in plan.const_bits]
-    values += [zero] * (len(plan.slots) - len(values))
-    simulate._apply_gates(plan, values, one)
-    return values
+    variables = [GF2Poly({frozenset({k})}) for k in range(len(n.primary_inputs))]
+    return simulate._evaluate(n._plan, variables, GF2Poly(), GF2Poly({frozenset()}))
 
 
 def assert_polynomials_agree(n):
