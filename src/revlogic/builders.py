@@ -217,7 +217,7 @@ def build_bcd_chain(n: int) -> Netlist:
     sum digits in the same order, then cout.  Stage-local wires carry a
     d<stage>_ prefix.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:  # True is not 1, as for a bit
         raise ValueError(f"digit count must be >= 1, got {n}")
     nb = _NetBuilder(f"bcd_chain{n}")
     a = [[f"a{j}_{i}" for i in range(4)] for j in range(n)]
@@ -256,7 +256,7 @@ def adder_oracle(
     domain is None; otherwise the domain admits only patterns whose
     digits are all below ``radix`` (0..9 for the BCD adders).
     """
-    if digits < 1:
+    if type(digits) is not int or digits < 1:
         raise ValueError(f"digit count must be >= 1, got {digits}")
     if not 2 <= radix <= 16:
         raise ValueError(f"radix must be 2..16 to fit a 4-bit digit, got {radix}")

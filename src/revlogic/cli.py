@@ -68,6 +68,8 @@ def _parse_bitstring(text: str, width: int, what: str) -> list[int]:
 def _max_inputs(args: SimpleNamespace) -> int:
     from .simulate import DEFAULT_INPUT_LIMIT
 
+    if args.max_inputs is not None and args.max_inputs < 0:
+        raise _UsageError("--max-inputs must be >= 0")
     return DEFAULT_INPUT_LIMIT if args.max_inputs is None else args.max_inputs
 
 
@@ -81,12 +83,13 @@ def _cmd_validate(args: SimpleNamespace) -> int:
 def _cmd_sim(args: SimpleNamespace) -> int:
     from .simulate import TruthTableLimitError, run, truth_table
 
+    limit = _max_inputs(args)  # refused below 0 before the file is read
     netlist = _load(args.file)
     garbage = garbage_wires(netlist)
     # refuse a wide table or a bad bitstring before the header is printed
     if args.exhaustive:
         try:
-            rows = truth_table(netlist, limit=_max_inputs(args))
+            rows = truth_table(netlist, limit=limit)
         except TruthTableLimitError as exc:
             raise _UsageError(str(exc)) from None
     else:
@@ -181,6 +184,7 @@ def _cmd_check_adder(args: SimpleNamespace) -> int:
         raise _UsageError("--digits is only valid with --kind bcd-chain")
     if args.digits is not None and args.digits < 1:
         raise _UsageError("digit count must be >= 1")
+    limit = _max_inputs(args)
     netlist = _load(args.file)
     n_inputs = len(netlist.primary_inputs)
     if args.kind == "ripple4":
@@ -199,7 +203,7 @@ def _cmd_check_adder(args: SimpleNamespace) -> int:
             raise _UsageError(f"{n_inputs} primary inputs do not match {layout}")
         oracle, domain = adder_oracle(digits)
     try:
-        mismatches = check_equivalence(netlist, oracle, domain, limit=_max_inputs(args))
+        mismatches = check_equivalence(netlist, oracle, domain, limit=limit)
     except TruthTableLimitError as exc:
         raise _UsageError(str(exc)) from None
     if mismatches:

@@ -140,7 +140,7 @@ class LogicCost(_Immutable):
 
 def is_identifier(text: object) -> bool:
     """The one name rule for gates, wires and circuits: a ``str`` matching ``[A-Za-z_][A-Za-z0-9_]*``."""
-    return isinstance(text, str) and text.isascii() and text.isidentifier()
+    return isinstance(text, str) and str.isascii(text) and str.isidentifier(text)  # a subclass cannot bend the rule
 
 
 def is_bit(value: object) -> bool:

@@ -23,11 +23,11 @@ shows in equality, the hash, the repr or a pickle.  Constants given as
 exact ``(wire, bit)`` tuples are kept as given; only other forms are
 rebuilt.
 
-The check accepts in bulk and explains on refusal.  Whole-list passes,
-run in C by ``map``, ``set``, ``zip`` and ``dict``, prove that a
-netlist has no finding at all; only a netlist they refuse is walked
-wire by wire, and that walk is the one place where findings and their
-positions are made.
+The check numbers in bulk and explains by walking.  Whole-list passes,
+run in C by ``map``, ``set``, ``zip`` and ``dict``, number every netlist
+that has no error; a netlist they refuse, or one with a constant that
+is never read, is also walked wire by wire, and that walk is the one
+place where findings and their positions are made.
 """
 
 from __future__ import annotations
@@ -143,23 +143,15 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str], dict[str, int]
 
     Definition order (inputs, constants, then each gate's outputs) is the netlist's
     one wire numbering: garbage is listed in it, and it is the plan's slots.
-    A netlist with no finding at all is accepted in bulk by ``_accept``; only one
-    it refuses is walked wire by wire, by ``_walk``, the one place where findings
-    and their positions are made.
+    ``_accept`` numbers every netlist without an error, in bulk; ``_walk``, the
+    one place where findings and their positions are made, runs only to explain
+    a refusal or an unread constant.
     """
     accepted = _accept(netlist)
-    if accepted is not None:
-        return [], *accepted
-    violations, garbage, order = _walk(netlist)
-    slots = _numbered(order)
-    if any(v.severity == "error" for v in violations):
-        return violations, garbage, slots, ()
-    return violations, garbage, slots, _reads(slots, map(attrgetter("inputs"), netlist.gates), netlist.primary_outputs)
-
-
-def _numbered(order: list[str]) -> dict[str, int]:
-    """Each wire mapped to its index in ``order``: the slot numbering every engine shares."""
-    return dict(zip(order, range(len(order))))
+    if accepted is None:
+        return _walk(netlist), [], {}, ()
+    garbage, slots, reads, unread_constant = accepted
+    return _walk(netlist) if unread_constant else [], garbage, slots, reads
 
 
 def _reads(slots: dict[str, int], inputs: Iterable[tuple[str, ...]], outputs: tuple[str, ...]) -> tuple[int, ...]:
@@ -167,19 +159,19 @@ def _reads(slots: dict[str, int], inputs: Iterable[tuple[str, ...]], outputs: tu
     return tuple(map(slots.__getitem__, chain(chain.from_iterable(inputs), outputs)))
 
 
-def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...]] | None:
-    """The garbage, the numbered definition order and the read slots when ``_walk`` finds nothing at all, else None.
+def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...], bool] | None:
+    """Garbage, wire numbers, read slots and whether a constant is unread when ``_walk`` finds no error, else None.
 
-    Whole-list passes only, each in C: the defined names are exact ``str``
-    identifiers (a ``str`` subclass is left to the walk) and distinct; the
+    Whole-list passes only, each in C: the defined names are ``str``
+    identifiers (``"".join`` refuses any other type) and distinct; the
     constant bits are the ints 0 and 1; each distinct gate object means
     what its name means in the netlist and has as many inputs and outputs
     as lines; every read (gate inputs, then primary outputs) names a
     defined wire, and a gate's reads come before its first output in
-    definition order; every constant is read; and line conservation
-    holds, which here means that no wire is read twice.  Each read is
-    marked in a bytearray of one byte per slot, so the garbage is the
-    unmarked slots and no set of reads is built.
+    definition order; and line conservation holds, which here means that
+    no wire is read twice.  Each read is marked in a bytearray of one
+    byte per slot, so the garbage is the unmarked slots, an unread
+    constant is an unmarked constant slot, and no set of reads is built.
     """
     if not is_identifier(netlist.name):
         return None
@@ -189,15 +181,15 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...
     outs = list(map(attrgetter("outputs"), insts))
     bits = list(map(itemgetter(1), netlist.constants))
     order = [*netlist.primary_inputs, *map(itemgetter(0), netlist.constants), *chain.from_iterable(outs)]
+    try:
+        names = "".join(order)
+    except TypeError:  # a name that is not a str
+        return None
     if not (
-        set(map(type, order)) <= {str}
-        and "".join(order).isascii()
-        and all(map(str.isidentifier, order))
-        and set(map(type, bits)) <= {int}
-        and set(bits) <= {0, 1}
+        names.isascii() and all(map(str.isidentifier, order)) and set(map(type, bits)) <= {int} and set(bits) <= {0, 1}
     ):
         return None
-    slots = _numbered(order)
+    slots = dict(zip(order, range(len(order))))
     if len(slots) != len(order):  # a wire defined twice
         return None
     meaning = dict(BUILTIN_GATES)
@@ -212,25 +204,22 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...
         reads = _reads(slots, ins, outputs)
     except (KeyError, TypeError):  # an undefined or unhashable read
         return None
-    unread = bytearray(b"\x01") * len(order)
-    any(map(unread.__setitem__, reads, repeat(0)))  # one mark per read slot, in C
     sources = len(netlist.primary_inputs) + len(bits)
     # gate outputs are numbered in gate order, so gate i's first output slot is sources plus the arities before it
     firsts = accumulate(arities, initial=sources)
-    if not (
-        all(map(lt, reads, chain.from_iterable(map(repeat, firsts, arities))))
-        and unread.find(1, len(netlist.primary_inputs), sources) < 0
-    ):
+    if not all(map(lt, reads, chain.from_iterable(map(repeat, firsts, arities)))):
         return None
+    unread = bytearray(b"\x01") * len(order)
+    any(map(unread.__setitem__, reads, repeat(0)))  # one mark per read slot, in C
     garbage = list(compress(order, unread))
     # with every read defined and the arities right, line conservation holds exactly when no wire is read twice
     if sources != len(outputs) + len(garbage):
         return None
-    return garbage, slots, reads
+    return garbage, slots, reads, unread.find(1, len(netlist.primary_inputs), sources) >= 0
 
 
-def _walk(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
-    """``_check`` wire by wire: every finding with its position, and the definition order as a list."""
+def _walk(netlist: Netlist) -> list[Violation]:
+    """``_check``'s findings, wire by wire: every error and warning with its position, in reading order."""
     violations: list[Violation] = []
 
     def report(rule, message, wire=None, gate_index=None, position=None, severity="error"):
@@ -238,7 +227,7 @@ def _walk(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
 
     if not is_identifier(netlist.name):
         report("bad-circuit-name", f"circuit name {netlist.name!r} is not a valid identifier")
-    defined: dict[str, None] = {}  # in definition order
+    defined: set[str] = set()
     consumed: set[str] = set()
 
     def define(wires, start, what, gate_index=None):
@@ -247,7 +236,7 @@ def _walk(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
                 report("bad-wire-name", f"wire {wire!r} is not a valid identifier", wire, gate_index, position)
             if wire in defined:
                 report("redefinition", f"wire {wire!r} defined more than once ({what})", wire, gate_index, position)
-            defined[wire] = None
+            defined.add(wire)
 
     define(netlist.primary_inputs, 0, "primary input")
     for position, (wire, bit) in enumerate(netlist.constants, len(netlist.primary_inputs)):
@@ -298,20 +287,20 @@ def _walk(netlist: Netlist) -> tuple[list[Violation], list[str], list[str]]:
             report("fan-out", f"wire {wire!r} consumed more than once (primary output)", wire, None, position)
         consumed.add(wire)
 
-    if any(v.severity == "error" for v in violations):
-        return violations, [], []
+    if violations:  # every finding so far is an error
+        return violations
     for position, (wire, _) in enumerate(netlist.constants, len(netlist.primary_inputs)):
         if wire not in consumed:
             report("unused-constant", f"constant {wire!r} is never consumed", wire, None, position, "warning")
-    garbage = [wire for wire in defined if wire not in consumed]
+    garbage = len(defined) - len(consumed)  # with no error, every consumed wire is defined
     # line conservation holds whenever the rules above do; checked, not assumed
     sources = len(netlist.primary_inputs) + len(netlist.constants)
-    if sources != len(netlist.primary_outputs) + len(garbage):
+    if sources != len(netlist.primary_outputs) + garbage:
         report(
             "line-conservation",
-            f"{sources} source lines but {len(netlist.primary_outputs)} outputs + {len(garbage)} garbage",
+            f"{sources} source lines but {len(netlist.primary_outputs)} outputs + {garbage} garbage",
         )
-    return violations, garbage, list(defined)
+    return violations
 
 
 def validate(netlist: Netlist) -> list[Violation]:

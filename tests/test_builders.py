@@ -206,3 +206,11 @@ def test_adder_oracle_rejects_bad_arguments():
         adder_oracle(0)
     with pytest.raises(ValueError):
         adder_oracle(1, radix=17)
+
+
+@pytest.mark.parametrize("digits", [0, -1, True, False, 2.0, "2", None])
+def test_a_digit_count_is_a_positive_int(digits):
+    # True is not 1, as for a bit: only an int counts digits, with the message a count of 0 gets
+    for make in (build_bcd_chain, adder_oracle):
+        with pytest.raises(ValueError, match=f"^digit count must be >= 1, got {digits}$"):
+            make(digits)

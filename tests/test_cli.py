@@ -368,6 +368,28 @@ def test_check_adder_chain_layout_named_when_digits_inferred(tmp_path, capsys):
     assert "8 primary inputs do not match a 1-digit chain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, limit_0_err",
+    [
+        (["sim", "--exhaustive"], "error: 9 primary inputs exceed the exhaustive-enumeration limit of 0;"),
+        (["sim", "--in", "000000000"], ""),  # a single run enumerates nothing
+        (["check-adder", "--kind", "ripple4"], "error: 9 primary inputs exceed the exhaustive-enumeration limit of 0;"),
+    ],
+    ids=["sim-exhaustive", "sim-in", "check-adder"],
+)
+def test_a_negative_input_limit_is_refused_before_the_file_is_read(command, limit_0_err, tmp_path, capsys):
+    missing = str(tmp_path / "missing.net")  # never read: the limit is refused first
+    assert main([command[0], missing, *command[1:], "--max-inputs", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-inputs must be >= 0\n"
+    path = str(tmp_path / "r.net")
+    main(["build", "ripple4", "-o", path])
+    capsys.readouterr()
+    assert main([command[0], path, *command[1:], "--max-inputs", "0"]) == (2 if limit_0_err else 0)  # 0 is a limit
+    assert capsys.readouterr().err.startswith(limit_0_err)
+
+
 @pytest.mark.parametrize("digits", ["0", "-3"])
 def test_check_adder_refuses_a_digit_count_below_one(digits, tmp_path, capsys):
     # the message build gives for the same count, not a layout mismatch against a count of no chain

@@ -281,7 +281,7 @@ def test_fan_out_deep_in_a_long_chain_is_placed_by_the_walk():
     inst = built.gates[index]
     gates = list(built.gates)
     gates[index] = inst._replace(inputs=(inst.inputs[0], inst.inputs[0], *inst.inputs[2:]))  # its first read twice
-    [found] = revlogic.netlist._walk(dataclasses.replace(built, gates=gates))[0]
+    [found] = revlogic.netlist._walk(dataclasses.replace(built, gates=gates))
     assert (found.rule, found.gate_index, found.position) == ("fan-out", index, 1)
     lines = text.split("\n")
     line = [k for k, row in enumerate(lines, 1) if row.startswith("gate ")][index]
@@ -466,8 +466,28 @@ def test_names_of_any_type_get_findings(name, inputs, outs, primary_outputs):
             serialize_netlist(n)
 
 
+class LiarName(str):
+    """A ``str`` subclass whose own ``isidentifier`` says yes to any text."""
+
+    def isidentifier(self) -> bool:
+        return True
+
+
+def test_a_str_subclass_cannot_bend_the_name_rule():
+    wire = LiarName("1a")
+    n = Netlist("c", ("a", wire), (), (GateInstance(FG, ("a", wire), ("p", "q")),), ("p", "q"))
+    assert [(v.rule, v.wire, v.position) for v in validate(n)] == [("bad-wire-name", wire, 1)]
+    with pytest.raises(InvalidNetlistError):
+        serialize_netlist(n)  # whose text parse_netlist would refuse
+    with pytest.raises(ValueError, match="bad gate name"):
+        GateDefinition(LiarName("1a"), 1, (1, 0))  # as the parser refuses `define 1a ...`, below
+    with pytest.raises(NetlistParseError) as caught:
+        parse_netlist("circuit c\ndefine 1a unknown 0 0 1 1 0\ninputs a\ngate 1a a -> b\noutputs b\nend\n")
+    assert caught.value.diagnostics[0].rule == "bad-gate-definition"
+
+
 class SubName(str):
-    """A ``str`` subclass: the walk takes it as a name; the bulk pass leaves such a name to the walk."""
+    """A ``str`` subclass: the bulk pass numbers it as it numbers a ``str``, and the walk takes it as a name."""
 
 
 EDITS = (
@@ -558,19 +578,22 @@ def test_bulk_acceptance_agrees_with_the_walk(seed, edit):
 
 
 def assert_bulk_agrees_with_walk(n: Netlist) -> None:
-    violations, garbage, order = revlogic.netlist._walk(n)
-    defined = [*n.primary_inputs, *n.constant_wires, *(w for inst in n.gates for w in inst.outputs)]
+    violations = revlogic.netlist._walk(n)
     accepted = revlogic.netlist._accept(n)
-    # the bulk pass accepts exactly the netlists with no finding, except that it leaves str subclasses to the walk
-    assert (accepted is not None) == (not violations and all(type(w) is str for w in defined))
-    if accepted is not None:
-        assert accepted[0] == garbage
-        assert list(accepted[1].items()) == [(wire, slot) for slot, wire in enumerate(order)]
-    numbered = {wire: slot for slot, wire in enumerate(order)}
-    # the read slots: every gate input in gate order, then the primary outputs; none for a netlist with an error
+    # the bulk pass accepts exactly the netlists in which the walk finds no error
+    assert (accepted is not None) == (not any(v.severity == "error" for v in violations))
+    if accepted is None:
+        assert revlogic.netlist._check(n) == (violations, [], {}, ())
+        return
+    garbage, slots, read_slots, unread_constant = accepted
+    order = [*n.primary_inputs, *n.constant_wires, *(w for inst in n.gates for w in inst.outputs)]
+    assert list(slots.items()) == [(wire, slot) for slot, wire in enumerate(order)]
+    # the read slots: every gate input in gate order, then the primary outputs
     reads = [w for inst in n.gates for w in inst.inputs] + list(n.primary_outputs)
-    read_slots = () if any(v.severity == "error" for v in violations) else tuple(numbered[w] for w in reads)
-    assert revlogic.netlist._check(n) == (violations, garbage, numbered, read_slots)
+    assert read_slots == tuple(slots[w] for w in reads)
+    assert garbage == [w for w in order if w not in set(reads)]
+    assert unread_constant == any(w in garbage for w in n.constant_wires) == bool(violations)  # warnings only
+    assert revlogic.netlist._check(n) == (violations, garbage, slots, read_slots)
 
 
 BK_GATE = GateInstance(FG, ("b", "k"), ("p", "q"))
