@@ -48,14 +48,14 @@ each plan looks its forward kernels up as it is built, one lookup per
 distinct gate object.  ``_evaluate`` uses only ``^``, ``&`` and the
 supplied zero and one, so it runs over any Boolean ring.
 
-``truth_table`` keeps only the primary-output and garbage columns of
-every block, as a ``TruthTable`` that builds rows when they are read;
-``check_equivalence`` reads each block's output rows and drops them.
+``truth_table`` runs no pattern: its ``TruthTable`` evaluates each
+block when the block's rows are read and drops the columns once they
+are built, as ``check_equivalence`` drops each block's output rows once
+they are checked.  So a sweep holds one block, whatever 2^k is.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, product, repeat
@@ -175,10 +175,10 @@ _BLOCK = 1 << 12
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _blocks(width: int) -> Iterator[tuple[int, int]]:
-    """Aligned (start, size) blocks covering all 2^width patterns, start % size == 0."""
+def _blocks(width: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """Aligned (start, size) blocks, start % size == 0, from the block that holds pattern ``start`` to 2^width."""
     total = 1 << width
-    start = 0
+    start -= start % min(max(1 << start.bit_length() >> 1, _FIRST_BLOCK), _BLOCK)
     while start < total:
         size = min(max(start, _FIRST_BLOCK), _BLOCK, total)
         yield start, size
@@ -301,13 +301,13 @@ def _run_steps(steps: Iterable[tuple[Callable, Sequence[int], Sequence[int]]], v
         kernel(values, reads, writes, one)
 
 
-def _block_columns(plan: _Plan, width: int) -> Iterator[tuple[int, list[int]]]:
-    """(size, column of every slot) per block; bit j of a column is its value on pattern start + j."""
-    for start, size in _blocks(width):
+def _block_columns(plan: _Plan, width: int, first: int = 0) -> Iterator[tuple[int, int, list[int]]]:
+    """(start, size, column of every slot) per block from the one holding pattern ``first``; bit j is pattern start + j."""
+    for start, size in _blocks(width, first):
         ones = (1 << size) - 1
         low = _low_columns(size)
         columns = [low[bit] if bit < len(low) else ones * (start >> bit & 1) for bit in reversed(range(width))]
-        yield size, _evaluate(plan, columns, 0, ones)
+        yield start, size, _evaluate(plan, columns, 0, ones)
 
 
 def _bit_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
@@ -328,11 +328,11 @@ def _output_tuples(count: int) -> tuple:
     return tuples if count <= 8 else tuple(tuples[page : page + 256] for page in range(0, len(tuples), 256))
 
 
-def _coded_rows(values: Sequence[int], count: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Per-pattern tuples of the first ``count`` columns, each taken from ``_output_tuples(count)``."""
-    form = f"0{size}b"
+def _coded_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Per-pattern tuples of the bits in ``slots``, each taken from ``_output_tuples(len(slots))``."""
+    form, count = f"0{size}b", len(slots)
     levels = [0, 0]  # the codes' low and high bytes; the first column is the highest bit
-    for column, shift in zip(values, range(count - 1, -1, -1)):
+    for column, shift in zip(map(values.__getitem__, slots), range(count - 1, -1, -1)):
         # the bit string holds the last pattern first, so a big-endian read puts pattern j in byte j
         levels[shift >> 3] |= int.from_bytes(format(column, form).encode().translate(_TO_BITS), "big") << (shift & 7)
     low, high = [level.to_bytes(size, "little") for level in levels]
@@ -340,34 +340,41 @@ def _coded_rows(values: Sequence[int], count: int, size: int) -> Iterator[tuple[
     return map(tuples.__getitem__, low) if count <= 8 else map(getitem, map(tuples.__getitem__, high), low)
 
 
-class TruthTable(Sequence):
-    """All 2^k rows of a netlist, kept as bit columns and built into rows when read.
+def _rows(plan: _Plan, width: int, start: int, size: int, values: list) -> Iterator[TruthTableRow]:
+    """The rows of patterns start to start + size - 1 from their columns: ``_block_columns``, or bits for one pattern."""
+    # size is a power of two dividing start: the block's high input bits are fixed, its low bits free
+    inputs = product(*[(0, 1) if 1 << bit < size else (start >> bit & 1,) for bit in reversed(range(width))])
+    # a table of every output tuple pays where there are no more outputs than inputs
+    coded = len(plan.po_slots) <= min(_CODED, width)
+    outputs = (_coded_rows if coded else _bit_rows)(values, plan.po_slots, size)
+    garbage = _bit_rows(values, plan.garbage_slots, size)
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return map(tuple.__new__, repeat(TruthTableRow), zip(inputs, outputs, garbage))
 
-    Each block of patterns keeps one int per primary output and per
-    garbage wire, bit j holding the wire's value on the block's j-th
-    pattern; a row's inputs follow from its index.  Iterating builds one
-    block's rows at a time, in C.  An int index reads one row from the
-    columns; a slice gives a list of rows.  With at most 12 outputs, and
-    no more outputs than inputs, every read takes a row's outputs from
-    one cached table of every output tuple, so equal output tuples are
-    one object across the whole table.  The table holds no rows, so the
-    cyclic garbage collector has nothing of it to scan.  It equals
-    another table or a list holding equal rows, and, like a list, is
-    unhashable.
-    Tables are built by ``truth_table``.
+
+class TruthTable(Sequence):
+    """All 2^k rows of a netlist, evaluated a block of patterns at a time as they are read.
+
+    The table holds only its netlist.  Iterating runs the block engine
+    on one block at a time and builds that block's rows, in C, from its
+    output and garbage columns, bit j holding a wire's value on the
+    block's j-th pattern; a row's inputs follow from its index.  The
+    columns are dropped once the block's rows are built.  An int index
+    evaluates that one pattern; a slice gives a list of rows, evaluated
+    from the block that holds its first row.  With at most 12 outputs,
+    and no more outputs than inputs, every read takes a row's outputs
+    from one cached table of every output tuple, so equal output tuples
+    are one object across the whole table.  The table holds no rows, so
+    the cyclic garbage collector has nothing of it to scan.  It equals
+    another table with equal rows, compared a block of columns at a
+    time, or a list holding equal rows, and, like a list, is unhashable.
+    It pickles as its netlist.  Tables are built by ``truth_table``.
     """
 
-    __slots__ = ("_width", "_outputs", "_columns", "_starts", "_coded")
+    __slots__ = ("_netlist",)
 
-    def __init__(self, width: int, outputs: int, columns: Sequence[tuple[int, ...]]) -> None:
-        """``columns`` holds, per block of ``_blocks(width)``, the output columns then the garbage ones."""
-        set_field = object.__setattr__
-        set_field(self, "_width", width)
-        set_field(self, "_outputs", outputs)
-        set_field(self, "_columns", tuple(columns))
-        set_field(self, "_starts", tuple(start for start, _size in _blocks(width)))
-        # a table of every output tuple pays where there are no more outputs than inputs
-        set_field(self, "_coded", outputs <= min(_CODED, width))
+    def __init__(self, netlist: Netlist) -> None:
+        object.__setattr__(self, "_netlist", netlist)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -378,28 +385,19 @@ class TruthTable(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):
-        return TruthTable, (self._width, self._outputs, self._columns)
+        return TruthTable, (self._netlist,)
 
     def __len__(self) -> int:
-        return 1 << self._width
+        return 1 << len(self._netlist.primary_inputs)
 
     def __iter__(self) -> Iterator[TruthTableRow]:
         return chain.from_iterable(self._block_rows(0))
 
     def _block_rows(self, first: int) -> Iterator[Iterator[TruthTableRow]]:
-        """The rows of each block from block ``first`` on, one iterator per block."""
-        width, count = self._width, self._outputs
-        starts = self._starts[first:] + (len(self),)
-        outputs_at = range(count)
-        garbage_at = range(count, len(self._columns[0]))
-        for start, end, columns in zip(starts, starts[1:], self._columns[first:]):
-            size = end - start
-            # size is a power of two dividing start: the block's high input bits are fixed, its low bits free
-            inputs = product(*[(0, 1) if 1 << bit < size else (start >> bit & 1,) for bit in reversed(range(width))])
-            outputs = _coded_rows(columns, count, size) if self._coded else _bit_rows(columns, outputs_at, size)
-            garbage = _bit_rows(columns, garbage_at, size)
-            # tuple.__new__ skips the named tuple's Python-level __new__
-            yield map(tuple.__new__, repeat(TruthTableRow), zip(inputs, outputs, garbage))
+        """The rows of each block from the one holding pattern ``first`` on, one iterator per block."""
+        plan, width = self._netlist._plan, len(self._netlist.primary_inputs)
+        for start, size, values in _block_columns(plan, width, first):
+            yield _rows(plan, width, start, size, values)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -407,26 +405,29 @@ class TruthTable(Sequence):
             if not picked:
                 return []
             low, high = sorted((picked[0], picked[-1]))
-            first = bisect_right(self._starts, low) - 1
-            skip = low - self._starts[first]
-            rows = list(islice(chain.from_iterable(self._block_rows(first)), skip, skip + high + 1 - low))
-            rows = rows[:: abs(picked.step)]
+            rows = chain.from_iterable(self._block_rows(low))
+            skip = low - next(_blocks(len(self._netlist.primary_inputs), low))[0]
+            rows = list(islice(rows, skip, skip + high + 1 - low))[:: abs(picked.step)]
             return rows if picked.step > 0 else rows[::-1]
         position = index(key)
         if position < 0:
             position += len(self)
         if not 0 <= position < len(self):
             raise IndexError("truth table index out of range")
-        block = bisect_right(self._starts, position) - 1
-        shift = position - self._starts[block]
-        bits = tuple(column >> shift & 1 for column in self._columns[block])
-        inputs = tuple(int_to_bits(position, self._width))
-        outputs = next(_coded_rows(bits, self._outputs, 1)) if self._coded else bits[: self._outputs]
-        return TruthTableRow(inputs, outputs, bits[self._outputs :])
+        plan, width = self._netlist._plan, len(self._netlist.primary_inputs)
+        return next(_rows(plan, width, position, 1, _evaluate(plan, int_to_bits(position, width), 0, 1)))
+
+    def _kept_columns(self) -> Iterator:
+        """The row shape, then each block's output and garbage columns, evaluated as they are reached."""
+        plan = self._netlist._plan
+        kept = plan.po_slots + plan.garbage_slots
+        yield len(self), len(plan.po_slots), len(kept)
+        for _start, _size, values in _block_columns(plan, len(self._netlist.primary_inputs)):
+            yield list(map(values.__getitem__, kept))
 
     def __eq__(self, other):
         if isinstance(other, TruthTable):
-            return (self._width, self._outputs, self._columns) == (other._width, other._outputs, other._columns)
+            return all(map(eq, self._kept_columns(), other._kept_columns()))
         if isinstance(other, list):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
@@ -435,19 +436,18 @@ class TruthTable(Sequence):
 def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> TruthTable:
     """All 2^k rows (input, primary output, garbage) in ascending input order.
 
-    The input count is checked against ``limit`` first.  The call then
-    runs the block engine over every pattern and keeps only the columns
-    of the primary outputs and the garbage: (outputs + garbage) x 2^k
-    bits, about 1 MB for the 2^17 patterns of bcd-chain 2.  The rows are
-    built when they are read, so a caller that streams the table holds
-    the columns, not the rows.  The result is a ``Sequence``, not a
-    list; ``list(truth_table(n))`` gives a list.
+    The call builds the netlist's plan, so an invalid netlist is refused
+    here, and checks the input count against ``limit``; it runs no
+    pattern.  The table it returns holds only the netlist and evaluates
+    each block of patterns when its rows are read, keeping that block's
+    columns only while its rows are built, so a caller that streams the
+    table holds one block, not 2^k bits per wire, and no rows.  The
+    result is a ``Sequence``, not a list; ``list(truth_table(n))`` gives
+    a list.
     """
-    plan = netlist._plan
-    width = _check_width(netlist, limit)
-    kept = plan.po_slots + plan.garbage_slots
-    columns = [tuple([values[slot] for slot in kept]) for _size, values in _block_columns(plan, width)]
-    return TruthTable(width, len(plan.po_slots), columns)
+    netlist._plan  # built in the call, so an invalid netlist is refused here and not at the first read
+    _check_width(netlist, limit)
+    return TruthTable(netlist)
 
 
 def check_equivalence(
@@ -469,7 +469,7 @@ def check_equivalence(
     width = _check_width(netlist, limit)
     inputs = product((0, 1), repeat=width)
     mismatches: list[Counterexample] = []
-    for size, values in _block_columns(plan, width):
+    for _start, size, values in _block_columns(plan, width):
         for bits, actual in zip(islice(inputs, size), _bit_rows(values, plan.po_slots, size)):
             if domain is not None and not domain(bits):
                 continue

@@ -449,8 +449,9 @@ def test_truth_table_restores_collector_state(enabled, monkeypatch):
             return real(size)
 
         monkeypatch.setattr(simulate, "_low_columns", fail_in_third_block)
+        table = truth_table(n)  # the call runs no pattern: the engine runs as the rows are read
         with pytest.raises(RuntimeError, match="column building failed"):
-            truth_table(n)  # the engine runs in the call, so its errors come from the call
+            list(table)
         assert calls == [64, 64, 128]
         assert gc.isenabled() == enabled
     finally:
@@ -486,7 +487,7 @@ def test_truth_table_collects_each_block_only_when_the_collector_is_on(enabled):
     if not enabled:
         assert generations == []
         return
-    # the call keeps columns, not rows: fewer young collections than blocks come due in it
+    # the call evaluates no block and builds no row: fewer young collections than blocks come due in it
     assert in_call < 4
     # each block's rows are tracked objects built in the caller's loop, so the collector,
     # when on, runs young collections there, and they untrack each row's tuples of ints
@@ -495,8 +496,9 @@ def test_truth_table_collects_each_block_only_when_the_collector_is_on(enabled):
         assert [gc.is_tracked(field) for field in row] == [False, False, False]
 
 
-def test_truth_table_holds_columns_not_rows():
+def test_truth_table_holds_its_netlist_not_columns():
     n = build_bcd_chain(2)  # 17 inputs, 9 outputs and 46 garbage wires
+    truth_table(n)  # builds the plan, which the netlist keeps
     tracemalloc.start()
     try:
         table = truth_table(n)
@@ -504,8 +506,22 @@ def test_truth_table_holds_columns_not_rows():
     finally:
         tracemalloc.stop()
     assert len(table) == 1 << 17
-    # 55 columns of 2^17 bits are under 1 MB; the 131072 rows as a list took about 90 MB
-    assert held < 4 << 20
+    # the table holds no block: keeping the 55 columns of 2^17 bits would take 887 KB
+    assert held < 16 << 10
+    wide = build_bcd_chain(3)  # 25 inputs: 2^25 patterns
+    tracemalloc.start()
+    try:
+        table = truth_table(wide, limit=25)  # the call runs no pattern
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced < 1 << 20
+    garbage = garbage_wires(wide)
+    # rows 0-8191 span the blocks of 64, 64, 128, ... 4096 patterns; the others are each one pattern
+    for position, row in [*enumerate(table[:8192]), ((1 << 24) + 1, table[(1 << 24) + 1]), ((1 << 25) - 1, table[-1])]:
+        result = run(wide, dict(zip(wide.primary_inputs, int_to_bits(position, 25))))
+        expected = tuple(result.primary_out[w] for w in wide.primary_outputs), tuple(result.garbage_out[w] for w in garbage)
+        assert row == (tuple(int_to_bits(position, 25)), *expected), position
 
 
 NESTED_CALL = """
@@ -753,12 +769,29 @@ def test_truth_table_equality():
     assert tg == truth_table(one_gate("TG"))
 
 
+def test_tables_with_equal_columns_and_unequal_rows_differ():
+    # the same two columns, split between outputs and garbage in two ways
+    fg = GateInstance(FG, ("a", "b"), ("p", "q"))
+    both, first = (truth_table(Netlist("s", ("a", "b"), (), (fg,), outputs)) for outputs in (("p", "q"), ("p",)))
+    assert both != first and list(both) != list(first)
+    # 64 patterns against 128, whose first block of 64 holds the same seven columns
+    wires = tuple(f"x{k}" for k in range(7))
+    short = truth_table(Netlist("a", wires[:6], (("k", 0),), (), ("k", *wires[:6])))
+    long = truth_table(Netlist("b", wires, (), (), wires))
+    assert short != long and long != short
+
+
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_truth_table_pickles(protocol):
     table = truth_table(wide_netlist())
     copy = pickle.loads(pickle.dumps(table, protocol))
     assert type(copy) is TruthTable and copy == table and list(copy) == list(table)
     assert copy[-1] == table[-1]
+    # a table pickles as its netlist: the 55 columns of 2^17 bits would take 833 KB
+    table = truth_table(build_bcd_chain(2))
+    data = pickle.dumps(table, protocol)
+    assert len(data) < 64 << 10
+    assert pickle.loads(data) == table
 
 
 def test_check_equivalence_matches_a_scalar_loop_across_blocks():
