@@ -25,9 +25,9 @@ rebuilt.
 
 The check numbers in bulk and explains by walking.  Whole-list passes,
 run in C by ``map``, ``set``, ``zip`` and ``dict``, number every netlist
-that has no error; a netlist they refuse, or one with a constant that
-is never read, is also walked wire by wire, and that walk is the one
-place where findings and their positions are made.
+that has no error and list its unread constants as warnings; only a
+netlist they refuse is walked wire by wire, and that walk is where its
+errors and their positions are made.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class Violation(NamedTuple):
     when ``gate_index`` is set; ``primary_inputs + constant_wires`` for a
     source's ``redefinition`` or ``bad-wire-name``, ``bad-constant`` and
     ``unused-constant``; ``primary_outputs`` for ``duplicate-output``,
-    ``undefined-output`` and an outputs-line ``fan-out``; ``bad-circuit-name``,
-    ``arity-mismatch`` and ``line-conservation`` have none.
+    ``undefined-output`` and an outputs-line ``fan-out``; ``bad-circuit-name``
+    and ``arity-mismatch`` have none.
     """
 
     rule: str
@@ -143,15 +143,10 @@ def _check(netlist: Netlist) -> tuple[list[Violation], list[str], dict[str, int]
 
     Definition order (inputs, constants, then each gate's outputs) is the netlist's
     one wire numbering: garbage is listed in it, and it is the plan's slots.
-    ``_accept`` numbers every netlist without an error, in bulk; ``_walk``, the
-    one place where findings and their positions are made, runs only to explain
-    a refusal or an unread constant.
+    ``_accept`` numbers every netlist without an error and warns of its unread
+    constants, in bulk; ``_walk`` runs only to explain a refusal.
     """
-    accepted = _accept(netlist)
-    if accepted is None:
-        return _walk(netlist), [], {}, ()
-    garbage, slots, reads, unread_constant = accepted
-    return _walk(netlist) if unread_constant else [], garbage, slots, reads
+    return _accept(netlist) or (_walk(netlist), [], {}, ())
 
 
 def _reads(slots: dict[str, int], inputs: Iterable[tuple[str, ...]], outputs: tuple[str, ...]) -> tuple[int, ...]:
@@ -159,8 +154,8 @@ def _reads(slots: dict[str, int], inputs: Iterable[tuple[str, ...]], outputs: tu
     return tuple(map(slots.__getitem__, chain(chain.from_iterable(inputs), outputs)))
 
 
-def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...], bool] | None:
-    """Garbage, wire numbers, read slots and whether a constant is unread when ``_walk`` finds no error, else None.
+def _accept(netlist: Netlist) -> tuple[list[Violation], list[str], dict[str, int], tuple[int, ...]] | None:
+    """Warnings, garbage, wire numbers and read slots when ``_walk`` finds no error, else None.
 
     Whole-list passes only, each in C: the defined names are ``str``
     identifiers (``"".join`` refuses any other type) and distinct; the
@@ -170,8 +165,8 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...
     defined wire, and a gate's reads come before its first output in
     definition order; and line conservation holds, which here means that
     no wire is read twice.  Each read is marked in a bytearray of one
-    byte per slot, so the garbage is the unmarked slots, an unread
-    constant is an unmarked constant slot, and no set of reads is built.
+    byte per slot, so the garbage is the unmarked slots, the warnings
+    are the unmarked constant slots, and no set of reads is built.
     """
     if not is_identifier(netlist.name):
         return None
@@ -204,7 +199,8 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...
         reads = _reads(slots, ins, outputs)
     except (KeyError, TypeError):  # an undefined or unhashable read
         return None
-    sources = len(netlist.primary_inputs) + len(bits)
+    first = len(netlist.primary_inputs)  # the first constant's slot
+    sources = first + len(bits)
     # gate outputs are numbered in gate order, so gate i's first output slot is sources plus the arities before it
     firsts = accumulate(arities, initial=sources)
     if not all(map(lt, reads, chain.from_iterable(map(repeat, firsts, arities)))):
@@ -215,15 +211,19 @@ def _accept(netlist: Netlist) -> tuple[list[str], dict[str, int], tuple[int, ...
     # with every read defined and the arities right, line conservation holds exactly when no wire is read twice
     if sources != len(outputs) + len(garbage):
         return None
-    return garbage, slots, reads, unread.find(1, len(netlist.primary_inputs), sources) >= 0
+    warnings = [
+        Violation("unused-constant", f"constant {wire!r} is never consumed", wire, None, "warning", position)
+        for position, wire in compress(enumerate(order[first:sources], first), unread[first:sources])
+    ]
+    return warnings, garbage, slots, reads
 
 
 def _walk(netlist: Netlist) -> list[Violation]:
-    """``_check``'s findings, wire by wire: every error and warning with its position, in reading order."""
+    """The errors of a netlist ``_accept`` refuses, wire by wire: each with its position, in reading order."""
     violations: list[Violation] = []
 
-    def report(rule, message, wire=None, gate_index=None, position=None, severity="error"):
-        violations.append(Violation(rule, message, wire, gate_index, severity, position))
+    def report(rule, message, wire=None, gate_index=None, position=None):
+        violations.append(Violation(rule, message, wire, gate_index, position=position))
 
     if not is_identifier(netlist.name):
         report("bad-circuit-name", f"circuit name {netlist.name!r} is not a valid identifier")
@@ -287,19 +287,6 @@ def _walk(netlist: Netlist) -> list[Violation]:
             report("fan-out", f"wire {wire!r} consumed more than once (primary output)", wire, None, position)
         consumed.add(wire)
 
-    if violations:  # every finding so far is an error
-        return violations
-    for position, (wire, _) in enumerate(netlist.constants, len(netlist.primary_inputs)):
-        if wire not in consumed:
-            report("unused-constant", f"constant {wire!r} is never consumed", wire, None, position, "warning")
-    garbage = len(defined) - len(consumed)  # with no error, every consumed wire is defined
-    # line conservation holds whenever the rules above do; checked, not assumed
-    sources = len(netlist.primary_inputs) + len(netlist.constants)
-    if sources != len(netlist.primary_outputs) + garbage:
-        report(
-            "line-conservation",
-            f"{sources} source lines but {len(netlist.primary_outputs)} outputs + {garbage} garbage",
-        )
     return violations
 
 

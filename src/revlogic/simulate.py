@@ -323,9 +323,9 @@ _CODED = 12  # at most this many outputs are read as codes: a table of at most 4
 
 @lru_cache(maxsize=None)  # output counts 0 to _CODED: at most 13 entries
 def _output_tuples(count: int) -> tuple:
-    """Every tuple of ``count`` bits once, at its code (first bit highest); past 8 bits, in pages of 256 by the high bits."""
+    """Every tuple of ``count`` bits once, at its code (first bit highest), in pages of 256 by the high bits."""
     tuples = tuple(product((0, 1), repeat=count))
-    return tuples if count <= 8 else tuple(tuples[page : page + 256] for page in range(0, len(tuples), 256))
+    return tuple(tuples[page : page + 256] for page in range(0, len(tuples), 256))
 
 
 def _coded_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
@@ -336,8 +336,7 @@ def _coded_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Itera
         # the bit string holds the last pattern first, so a big-endian read puts pattern j in byte j
         levels[shift >> 3] |= int.from_bytes(format(column, form).encode().translate(_TO_BITS), "big") << (shift & 7)
     low, high = [level.to_bytes(size, "little") for level in levels]
-    tuples = _output_tuples(count)
-    return map(tuples.__getitem__, low) if count <= 8 else map(getitem, map(tuples.__getitem__, high), low)
+    return map(getitem, map(_output_tuples(count).__getitem__, high), low)
 
 
 def _rows(plan: _Plan, width: int, start: int, size: int, values: list) -> Iterator[TruthTableRow]:
@@ -366,8 +365,9 @@ class TruthTable(Sequence):
     from one cached table of every output tuple, so equal output tuples
     are one object across the whole table.  The table holds no rows, so
     the cyclic garbage collector has nothing of it to scan.  It equals
-    another table with equal rows, compared a block of columns at a
-    time, or a list holding equal rows, and, like a list, is unhashable.
+    another table of an equal netlist, or with equal rows, compared a
+    block of columns at a time, or a list holding equal rows, and, like
+    a list, is unhashable.
     It pickles as its netlist.  Tables are built by ``truth_table``.
     """
 
@@ -426,8 +426,8 @@ class TruthTable(Sequence):
             yield list(map(values.__getitem__, kept))
 
     def __eq__(self, other):
-        if isinstance(other, TruthTable):
-            return all(map(eq, self._kept_columns(), other._kept_columns()))
+        if isinstance(other, TruthTable):  # equal netlists give equal tables
+            return self._netlist == other._netlist or all(map(eq, self._kept_columns(), other._kept_columns()))
         if isinstance(other, list):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented

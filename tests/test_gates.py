@@ -125,6 +125,8 @@ def test_from_table_bijectivity():
 def test_from_table_shape_errors():
     with pytest.raises(TableShapeError, match="empty table"):
         GateDefinition.from_table("T", [])
+    with pytest.raises(TableShapeError, match="rows must be non-empty"):
+        GateDefinition.from_table("T", [()])
     with pytest.raises(TableShapeError, match="expected 4 rows for width 2, got 3"):
         GateDefinition.from_table("T", [[0, 0], [0, 1], [1, 0]])
     with pytest.raises(TableShapeError, match="same width"):

@@ -17,6 +17,7 @@ from revlogic import (
     Netlist,
     NetlistParseError,
     ParseDiagnostic,
+    Violation,
     analyze,
     build_bcd_adder,
     build_bcd_chain,
@@ -203,6 +204,20 @@ def test_unused_constant_position():
     n = Netlist("warn", ("a", "b"), (("k", 0), ("j", 1)), (GateInstance(FG, ("a", "j"), ("p", "q")),), ("p", "q", "b"))
     [v] = validate(n)
     assert (v.rule, v.wire, v.position) == ("unused-constant", "k", 2)
+
+
+def test_unread_constants_are_warned_of_without_the_walk(monkeypatch):
+    def walk(netlist):
+        raise AssertionError("the walk explains a refusal only")
+
+    monkeypatch.setattr(revlogic.netlist, "_walk", walk)
+    gate = GateInstance(FG, ("a", "m"), ("p", "q"))
+    n = Netlist("warn", ("a",), (("k", 0), ("m", 1), ("j", 1)), (gate,), ("p", "q"))
+    assert validate(n) == [
+        Violation("unused-constant", "constant 'k' is never consumed", "k", None, "warning", 1),
+        Violation("unused-constant", "constant 'j' is never consumed", "j", None, "warning", 3),
+    ]
+    assert garbage_wires(n) == ["k", "j"]
 
 
 def findings(n: Netlist):
@@ -585,15 +600,22 @@ def assert_bulk_agrees_with_walk(n: Netlist) -> None:
     if accepted is None:
         assert revlogic.netlist._check(n) == (violations, [], {}, ())
         return
-    garbage, slots, read_slots, unread_constant = accepted
+    _, garbage, slots, read_slots = accepted
     order = [*n.primary_inputs, *n.constant_wires, *(w for inst in n.gates for w in inst.outputs)]
     assert list(slots.items()) == [(wire, slot) for slot, wire in enumerate(order)]
     # the read slots: every gate input in gate order, then the primary outputs
     reads = [w for inst in n.gates for w in inst.inputs] + list(n.primary_outputs)
     assert read_slots == tuple(slots[w] for w in reads)
     assert garbage == [w for w in order if w not in set(reads)]
-    assert unread_constant == any(w in garbage for w in n.constant_wires) == bool(violations)  # warnings only
-    assert revlogic.netlist._check(n) == (violations, garbage, slots, read_slots)
+    # the warnings, wire by wire: each constant that no gate and no output reads, at its declaration position
+    unread = [
+        Violation("unused-constant", f"constant {w!r} is never consumed", w, None, "warning", len(n.primary_inputs) + k)
+        for k, w in enumerate(n.constant_wires)
+        if w not in reads
+    ]
+    # line conservation: with no error, every source line leaves as an output or as garbage
+    assert len(n.primary_inputs) + len(n.constants) == len(n.primary_outputs) + len(garbage)
+    assert revlogic.netlist._check(n) == (unread, garbage, slots, read_slots)
 
 
 BK_GATE = GateInstance(FG, ("b", "k"), ("p", "q"))

@@ -216,6 +216,18 @@ def test_round_trip_random_netlists(seed):
 
 # one document per rule a text can break: the expected (rule, line, token) of every diagnostic, in order
 POSITIONED = [
+    # each way the grammar stops a parse, at the line it stops on (0 past the last line)
+    ("inputs a\n", [("syntax", 1, 0)]),
+    ("circuit c\ndefine S 3 0 0\n", [("syntax", 2, 0)]),
+    ("circuit c\nfoo\n", [("syntax", 2, 0)]),
+    ("circuit c\ninputs a b\ngate FG a b -> p q\nconst k 0\noutputs p q\nend\n", [("syntax", 4, 0)]),
+    ("circuit c\ninputs\nconst k\noutputs k\nend\n", [("syntax", 3, 0)]),
+    ("circuit c\ninputs\ngate\noutputs\nend\n", [("syntax", 3, 0)]),
+    ("circuit c\ninputs a b\ngate FG a b p q\noutputs p q\nend\n", [("syntax", 3, 2)]),
+    ("circuit c\ninputs a\nfoo a\n", [("syntax", 3, 0)]),
+    ("circuit c\ninputs a\noutputs a\nfoo\n", [("syntax", 4, 0)]),
+    ("circuit c\ninputs a\noutputs a\nend\nextra\n", [("syntax", 5, 0)]),
+    ("circuit c\ninputs a\n", [("syntax", 0, 0)]),
     ("circuit c\ninputs a b\ngate FG a a -> p q\noutputs p q\nend\n", [("fan-out", 3, 3)]),
     ("circuit c\ninputs a\ngate TG a a a -> p q r\noutputs p q r\nend\n", [("fan-out", 3, 3), ("fan-out", 3, 4)]),
     ("circuit c\ninputs a b\ngate FG a b -> p q\noutputs a p q\nend\n", [("fan-out", 4, 1)]),
