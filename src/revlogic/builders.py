@@ -10,10 +10,12 @@ Three circuit families are built programmatically:
   * ``build_bcd_chain``: an n-digit decimal adder chaining bcd2 stages
     through their carry wires.
 
-Buses are declared most-significant bit first (a3 a2 a1 a0); the carry
-line comes last on both sides.  Wiring and wire names are deterministic,
-so repeated builds serialize byte-identically.  ``adder_oracle`` decodes
-the same layout into the expected sums, for ``check_equivalence``.
+Every bus is declared in one layout (``_layout``): most significant
+digit first, each digit most significant bit first (a3 a2 a1 a0), A
+before B; the carry line comes last on both sides.  Wiring and wire
+names are deterministic, so repeated builds serialize byte-identically.
+``adder_oracle`` decodes the same layout into the expected sums, for
+``check_equivalence``.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class _NetBuilder:
         self._zero_count = 0
         self._garbage_count = 0
 
-    def input(self, wire: str) -> str:
-        self.inputs.append(wire)
-        return wire
-
     def const(self, wire: str, bit: int) -> str:
         self.constants.append((wire, bit))
         return wire
@@ -72,6 +70,15 @@ class _NetBuilder:
             tuple(self.gates),
             tuple(self.outputs),
         )
+
+
+def _layout(*buses: list[list[str]]) -> list[str]:
+    """Wires of digit buses in layout order, most significant digit and bit first.
+
+    A bus lists its 4-wire digits, and a digit its wires, least
+    significant first, as the emitters take them.
+    """
+    return [wire for bus in buses for digit in reversed(bus) for wire in reversed(digit)]
 
 
 def _emit_full_adder_chain(
@@ -106,15 +113,11 @@ def build_ripple_adder() -> Netlist:
     nb = _NetBuilder("ripple4")
     a = [f"a{i}" for i in range(4)]
     b = [f"b{i}" for i in range(4)]
-    for wire in reversed(a):
-        nb.input(wire)
-    for wire in reversed(b):
-        nb.input(wire)
-    nb.input("cin")
+    nb.inputs = [*_layout([a], [b]), "cin"]
     sums = [f"s{i}" for i in range(4)]
     carries = [f"c{i}" for i in range(1, 5)]
     _emit_full_adder_chain(nb, a, b, "cin", sums, carries)
-    nb.outputs = [*reversed(sums), "c4"]
+    nb.outputs = [*_layout([sums]), "c4"]
     return nb.build()
 
 
@@ -195,17 +198,14 @@ def build_bcd_adder(design: str, *, carry_in: str = "primary") -> Netlist:
     nb = _NetBuilder(design)
     a = [f"a{i}" for i in range(4)]
     b = [f"b{i}" for i in range(4)]
-    for wire in reversed(a):
-        nb.input(wire)
-    for wire in reversed(b):
-        nb.input(wire)
+    nb.inputs = _layout([a], [b])
     if carry_in == "primary":
-        cin = nb.input("cin")
+        nb.inputs.append("cin")
     else:
-        cin = nb.const("cin", 0)
+        nb.const("cin", 0)
     z = [f"z{i}" for i in range(4)]
-    _emit_bcd_digit(nb, design, a, b, cin, z, "cout", reuse_spare_zero=(carry_in == "const"))
-    nb.outputs = [*reversed(z), "cout"]
+    _emit_bcd_digit(nb, design, a, b, "cin", z, "cout", reuse_spare_zero=(carry_in == "const"))
+    nb.outputs = [*_layout([z]), "cout"]
     return nb.build()
 
 
@@ -222,22 +222,15 @@ def build_bcd_chain(n: int) -> Netlist:
     nb = _NetBuilder(f"bcd_chain{n}")
     a = [[f"a{j}_{i}" for i in range(4)] for j in range(n)]
     b = [[f"b{j}_{i}" for i in range(4)] for j in range(n)]
-    for digits in (a, b):
-        for j in reversed(range(n)):
-            for wire in reversed(digits[j]):
-                nb.input(wire)
-    nb.input("cin")
+    z = [[f"z{j}_{i}" for i in range(4)] for j in range(n)]
+    nb.inputs = [*_layout(a, b), "cin"]
     carry = "cin"
     for j in range(n):
         nb.set_prefix(f"d{j}_")
         cout = "cout" if j == n - 1 else f"d{j}_cout"
-        _emit_bcd_digit(nb, "bcd2", a[j], b[j], carry, [f"z{j}_{i}" for i in range(4)], cout)
+        _emit_bcd_digit(nb, "bcd2", a[j], b[j], carry, z[j], cout)
         carry = cout
-    outputs = []
-    for j in reversed(range(n)):
-        outputs.extend(f"z{j}_{i}" for i in reversed(range(4)))
-    outputs.append("cout")
-    nb.outputs = outputs
+    nb.outputs = [*_layout(z), "cout"]
     return nb.build()
 
 
@@ -258,7 +251,7 @@ def adder_oracle(
     """
     if type(digits) is not int or digits < 1:
         raise ValueError(f"digit count must be >= 1, got {digits}")
-    if not 2 <= radix <= 16:
+    if type(radix) is not int or not 2 <= radix <= 16:
         raise ValueError(f"radix must be 2..16 to fit a 4-bit digit, got {radix}")
     width = 8 * digits
     places = [radix ** (digits - 1 - j) for j in range(digits)]

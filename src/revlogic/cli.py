@@ -187,21 +187,19 @@ def _cmd_check_adder(args: SimpleNamespace) -> int:
     limit = _max_inputs(args)
     netlist = _load(args.file)
     n_inputs = len(netlist.primary_inputs)
+    # every kind is adder_oracle's layout: 8 inputs a digit, then the carry in if there is one
+    digits, carry = divmod(n_inputs, 8)
     if args.kind == "ripple4":
         if n_inputs != 9:
             raise _UsageError(f"ripple4 netlists have 9 primary inputs, this one has {n_inputs}")
-        oracle, domain = adder_oracle(1, radix=16)
     elif args.kind == "bcd":
         if n_inputs not in (8, 9):
             raise _UsageError(f"bcd netlists have 8 or 9 primary inputs, this one has {n_inputs}")
-        oracle, domain = adder_oracle(1, carry_in=n_inputs == 9)
-    else:
-        digits = args.digits if args.digits is not None else (n_inputs - 1) // 8
-        if digits < 1 or n_inputs != 8 * digits + 1:
-            # an inferred count is no count the user asked for: name the layout instead
-            layout = f"a {digits}-digit chain" if args.digits is not None else "a chain's 8N+1 layout (N >= 1)"
-            raise _UsageError(f"{n_inputs} primary inputs do not match {layout}")
-        oracle, domain = adder_oracle(digits)
+    elif digits < 1 or carry != 1 or args.digits not in (None, digits):
+        # an inferred count is no count the user asked for: name the layout instead
+        layout = f"a {args.digits}-digit chain" if args.digits is not None else "a chain's 8N+1 layout (N >= 1)"
+        raise _UsageError(f"{n_inputs} primary inputs do not match {layout}")
+    oracle, domain = adder_oracle(digits, radix=16 if args.kind == "ripple4" else 10, carry_in=carry == 1)
     try:
         mismatches = check_equivalence(netlist, oracle, domain, limit=limit)
     except TruthTableLimitError as exc:

@@ -208,6 +208,8 @@ class GateDefinition(_Immutable):
             raise NonBijectiveError(f"{name}: table is not a permutation")
         if quantum_cost is not None and (type(quantum_cost) is not int or not 0 <= quantum_cost <= MAX_COST):
             raise ValueError(f"quantum cost must be None or a non-negative int up to {MAX_COST}")
+        if type(logic_cost) is not LogicCost:
+            raise ValueError(f"logic cost must be a LogicCost, got {logic_cost!r}")
         self._set_fields(name, arity, table, quantum_cost, logic_cost)
 
     @cached_property

@@ -369,6 +369,32 @@ def test_check_adder_chain_layout_named_when_digits_inferred(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "source, flags, code, err",
+    [
+        (1, ["--kind", "bcd-chain"], 2, "error: 1 primary inputs do not match a chain's 8N+1 layout (N >= 1)\n"),
+        (16, ["--kind", "bcd-chain"], 2, "error: 16 primary inputs do not match a chain's 8N+1 layout (N >= 1)\n"),
+        ("bcd-chain", ["--kind", "bcd-chain", "--digits", "3"], 2, "error: 17 primary inputs do not match a 3-digit chain\n"),
+        ("bcd-chain", ["--kind", "bcd-chain", "--digits", "2"], 0, ""),
+        ("bcd-chain", ["--kind", "ripple4"], 2, "error: ripple4 netlists have 9 primary inputs, this one has 17\n"),
+        ("bcd-chain", ["--kind", "bcd"], 2, "error: bcd netlists have 8 or 9 primary inputs, this one has 17\n"),
+    ],
+    ids=["1-input-chain", "16-input-chain", "chain2-digits3", "chain2-digits2", "chain2-ripple4", "chain2-bcd"],
+)
+def test_check_adder_input_count_rules(source, flags, code, err, tmp_path, capsys):
+    # an int source is a gate-free file of that many inputs; "bcd-chain" is the 17-input 2-digit chain
+    path = str(tmp_path / "c.net")
+    if source == "bcd-chain":
+        main(["build", "bcd-chain", "2", "-o", path])
+        capsys.readouterr()
+    else:
+        Path(path).write_text(wide_text(source))
+    assert main(["check-adder", path, *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ("ok\n" if code == 0 else "")
+
+
+@pytest.mark.parametrize(
     "command, limit_0_err",
     [
         (["sim", "--exhaustive"], "error: 9 primary inputs exceed the exhaustive-enumeration limit of 0;"),

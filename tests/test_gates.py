@@ -203,6 +203,12 @@ def test_gate_counts_are_ints():
             GateDefinition("X", 1, (1, 0), quantum_cost=cost)
         with pytest.raises(ValueError, match="quantum cost must be"):
             GateDefinition.from_table("X", [[1], [0]], quantum_cost=cost)
+    # a cost that is no LogicCost would be taken here and fail only when analyze or serialize reads it
+    for cost in ("x", None, (1, 2, 3)):
+        with pytest.raises(ValueError, match="logic cost must be a LogicCost"):
+            GateDefinition("X", 1, (1, 0), None, cost)
+        with pytest.raises(ValueError, match="logic cost must be a LogicCost"):
+            GateDefinition.from_table("X", [[1], [0]], logic_cost=cost)
     for parts in ((1.5, 0, 0), (0, True, 0), (0, 0, 1.0), (0, 0, -1), (MAX_COST + 1, 0, 0), (0, 0, MAX_COST + 1)):
         with pytest.raises(ValueError, match="logic cost components must be"):
             LogicCost(*parts)
