@@ -51,7 +51,11 @@ supplied zero and one, so it runs over any Boolean ring.
 ``truth_table`` runs no pattern: its ``TruthTable`` evaluates each
 block when the block's rows are read and drops the columns once they
 are built, as ``check_equivalence`` drops each block's output rows once
-they are checked.  So a sweep holds one block, whatever 2^k is.
+they are checked.  So a sweep holds one block, whatever 2^k is, and a
+stepped slice holds only the rows it returns.  With few enough outputs,
+a block's output columns become one little-endian 16-bit code per
+pattern, and one C call gathers the block's output tuples from a flat
+cached table of every output tuple at its code.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, product, repeat
-from operator import attrgetter, eq, getitem, index, itemgetter
+from operator import attrgetter, eq, itemgetter
+from struct import unpack
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .gates import int_to_bits, is_bit
@@ -323,20 +328,21 @@ _CODED = 12  # at most this many outputs are read as codes: a table of at most 4
 
 @lru_cache(maxsize=None)  # output counts 0 to _CODED: at most 13 entries
 def _output_tuples(count: int) -> tuple:
-    """Every tuple of ``count`` bits once, at its code (first bit highest), in pages of 256 by the high bits."""
-    tuples = tuple(product((0, 1), repeat=count))
-    return tuple(tuples[page : page + 256] for page in range(0, len(tuples), 256))
+    """Every tuple of ``count`` bits once, at its code (first bit highest)."""
+    return tuple(product((0, 1), repeat=count))
 
 
-def _coded_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
-    """Per-pattern tuples of the bits in ``slots``, each taken from ``_output_tuples(len(slots))``."""
+def _coded_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Sequence[tuple[int, ...]]:
+    """Per-pattern tuples of the bits in ``slots``, all taken from ``_output_tuples(len(slots))`` in one gather."""
     form, count = f"0{size}b", len(slots)
     levels = [0, 0]  # the codes' low and high bytes; the first column is the highest bit
     for column, shift in zip(map(values.__getitem__, slots), range(count - 1, -1, -1)):
         # the bit string holds the last pattern first, so a big-endian read puts pattern j in byte j
         levels[shift >> 3] |= int.from_bytes(format(column, form).encode().translate(_TO_BITS), "big") << (shift & 7)
-    low, high = [level.to_bytes(size, "little") for level in levels]
-    return map(getitem, map(_output_tuples(count).__getitem__, high), low)
+    codes = bytearray(2 * size)  # pattern j's code as a little-endian 16-bit word at byte 2j
+    codes[0::2], codes[1::2] = [level.to_bytes(size, "little") for level in levels]
+    picked = itemgetter(*unpack(f"<{size}H", codes))(_output_tuples(count))
+    return picked if size > 1 else (picked,)  # one code gathers the tuple itself, not a tuple of one
 
 
 def _rows(plan: _Plan, width: int, start: int, size: int, values: list) -> Iterator[TruthTableRow]:
@@ -360,14 +366,17 @@ class TruthTable(Sequence):
     block's j-th pattern; a row's inputs follow from its index.  The
     columns are dropped once the block's rows are built.  An int index
     evaluates that one pattern; a slice gives a list of rows, evaluated
-    from the block that holds its first row.  With at most 12 outputs,
-    and no more outputs than inputs, every read takes a row's outputs
-    from one cached table of every output tuple, so equal output tuples
-    are one object across the whole table.  The table holds no rows, so
-    the cyclic garbage collector has nothing of it to scan.  It equals
-    another table of an equal netlist, or with equal rows, compared a
-    block of columns at a time, or a list holding equal rows, and, like
-    a list, is unhashable.
+    from the block that holds its first row and stepped as they stream,
+    so it holds only the rows it returns.  With at most 12 outputs, and
+    no more outputs than inputs, every read takes a row's outputs from
+    one flat cached table of every output tuple, gathered in one call
+    per block, so equal output tuples are one object across the whole
+    table.  The table holds no rows, so the cyclic garbage collector has
+    nothing of it to scan.  It equals another table of an equal netlist,
+    or with equal rows, compared a block of columns at a time, or a list
+    holding equal rows, and, like a list, is unhashable.  Past 63
+    inputs, ``len`` raises ``OverflowError``, as ``len(range(2**63))``
+    does, while an index, a slice, iteration and equality still work.
     It pickles as its netlist.  Tables are built by ``truth_table``.
     """
 
@@ -400,36 +409,40 @@ class TruthTable(Sequence):
             yield _rows(plan, width, start, size, values)
 
     def __getitem__(self, key):
+        width = len(self._netlist.primary_inputs)
+        # a range of 2^k indices slices and indexes past 2^63, where len(self) cannot answer
+        patterns = range(1 << width)
         if isinstance(key, slice):
-            picked = range(len(self))[key]
+            picked = patterns[key]
             if not picked:
                 return []
             low, high = sorted((picked[0], picked[-1]))
             rows = chain.from_iterable(self._block_rows(low))
-            skip = low - next(_blocks(len(self._netlist.primary_inputs), low))[0]
-            rows = list(islice(rows, skip, skip + high + 1 - low))[:: abs(picked.step)]
+            skip = low - next(_blocks(width, low))[0]
+            # the step is taken in the stream, so only the returned rows are kept
+            rows = list(islice(rows, skip, skip + high + 1 - low, abs(picked.step)))
             return rows if picked.step > 0 else rows[::-1]
-        position = index(key)
-        if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
-            raise IndexError("truth table index out of range")
-        plan, width = self._netlist._plan, len(self._netlist.primary_inputs)
+        try:
+            position = patterns[key]
+        except IndexError:
+            raise IndexError("truth table index out of range") from None
+        plan = self._netlist._plan
         return next(_rows(plan, width, position, 1, _evaluate(plan, int_to_bits(position, width), 0, 1)))
 
     def _kept_columns(self) -> Iterator:
         """The row shape, then each block's output and garbage columns, evaluated as they are reached."""
-        plan = self._netlist._plan
+        plan, width = self._netlist._plan, len(self._netlist.primary_inputs)
         kept = plan.po_slots + plan.garbage_slots
-        yield len(self), len(plan.po_slots), len(kept)
-        for _start, _size, values in _block_columns(plan, len(self._netlist.primary_inputs)):
+        yield width, len(plan.po_slots), len(kept)
+        for _start, _size, values in _block_columns(plan, width):
             yield list(map(values.__getitem__, kept))
 
     def __eq__(self, other):
         if isinstance(other, TruthTable):  # equal netlists give equal tables
             return self._netlist == other._netlist or all(map(eq, self._kept_columns(), other._kept_columns()))
         if isinstance(other, list):
-            return len(self) == len(other) and all(map(eq, self, other))
+            # compared through the width: len(self) cannot answer past 2^63 - 1 patterns
+            return 1 << len(self._netlist.primary_inputs) == len(other) and all(map(eq, self, other))
         return NotImplemented
 
 
@@ -441,9 +454,11 @@ def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> TruthTabl
     pattern.  The table it returns holds only the netlist and evaluates
     each block of patterns when its rows are read, keeping that block's
     columns only while its rows are built, so a caller that streams the
-    table holds one block, not 2^k bits per wire, and no rows.  The
-    result is a ``Sequence``, not a list; ``list(truth_table(n))`` gives
-    a list.
+    table holds one block, not 2^k bits per wire, and no rows; a stepped
+    slice holds only the rows it returns.  The result is a ``Sequence``,
+    not a list; ``list(truth_table(n))`` gives a list.  Past 2^63 - 1
+    patterns its ``len`` raises ``OverflowError``, while an index, a
+    slice and iteration work.
     """
     netlist._plan  # built in the call, so an invalid netlist is refused here and not at the first read
     _check_width(netlist, limit)

@@ -29,6 +29,7 @@ from revlogic import (
     TruthTable,
     TruthTableLimitError,
     TruthTableRow,
+    analyze,
     bits_to_int,
     build_bcd_adder,
     build_bcd_chain,
@@ -42,6 +43,7 @@ from revlogic import (
     run_inverse,
     serialize_netlist,
     truth_table,
+    validate,
 )
 from revlogic import simulate
 from helpers import (
@@ -288,6 +290,58 @@ def test_run_and_inverse_scale_linearly():
     assert large / small < 24, f"bcd-chain 400 took {large / small:.1f}x bcd-chain 50"
 
 
+def chain_forms(digits):
+    """The text of bcd-chain ``digits``, its parse, and a second parse that shares no wire tuple with the first."""
+    text = chain_text(digits)
+    return text, parse_netlist(text), parse_netlist(text)
+
+
+# each path: the argument, made untimed from (text, parse, second parse), then the timed call on it
+SCALED_PATHS = {
+    "parse_netlist": (lambda text, n, twin: text, parse_netlist),
+    "validate": (lambda text, n, twin: Netlist(n.name, n.primary_inputs, n.constants, n.gates, n.primary_outputs), validate),
+    "serialize_netlist": (lambda text, n, twin: n, serialize_netlist),
+    "analyze": (lambda text, n, twin: n, analyze),
+    "plan": (lambda text, n, twin: parse_netlist(text), operator.attrgetter("_plan")),
+    "pickle": (lambda text, n, twin: n, lambda n: pickle.loads(pickle.dumps(n))),
+    "eq": (lambda text, n, twin: (n, twin), lambda pair: pair[0] == pair[1]),
+    "hash": (lambda text, n, twin: n, hash),
+    "garbage_wires": (lambda text, n, twin: n, garbage_wires),
+}
+
+
+def best_seconds_and_peak(path, forms, repeats=5):
+    """Fastest of ``repeats`` timed calls on fresh arguments, and one call's tracemalloc peak."""
+    make, call = SCALED_PATHS[path]
+    best = float("inf")
+    for _ in range(repeats):
+        argument = make(*forms)
+        start = time.perf_counter()
+        call(argument)
+        best = min(best, time.perf_counter() - start)
+    argument = make(*forms)
+    tracemalloc.start()
+    try:
+        call(argument)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return best, peak
+
+
+@pytest.fixture(scope="module")
+def chains_50_and_400():
+    return chain_forms(50), chain_forms(400)
+
+
+@pytest.mark.parametrize("path", SCALED_PATHS)
+def test_public_paths_scale_linearly(path, chains_50_and_400):
+    (small, small_peak), (large, large_peak) = (best_seconds_and_peak(path, forms) for forms in chains_50_and_400)
+    # 8x the gates: linear is about 8x, quadratic about 64x, in time and in memory
+    assert large / small < 24, f"{path}: bcd-chain 400 took {large / small:.1f}x bcd-chain 50"
+    assert large_peak / small_peak < 24, f"{path}: bcd-chain 400 peaked at {large_peak / small_peak:.1f}x bcd-chain 50"
+
+
 def test_binding_errors_name_the_wire_on_a_large_chain():
     n = build_bcd_chain(400)
     inputs = dict(zip(n.primary_inputs, encode_bcd_operands(1, 2, 0, 400)))
@@ -522,6 +576,46 @@ def test_truth_table_holds_its_netlist_not_columns():
         result = run(wide, dict(zip(wide.primary_inputs, int_to_bits(position, 25))))
         expected = tuple(result.primary_out[w] for w in wide.primary_outputs), tuple(result.garbage_out[w] for w in garbage)
         assert row == (tuple(int_to_bits(position, 25)), *expected), position
+
+
+
+def test_stepped_slices_hold_only_the_rows_they_return():
+    table = truth_table(build_bcd_chain(2))  # 2^17 rows, 16 of them a multiple of 8192 apart
+    for step in (8192, -8192):
+        tracemalloc.start()
+        try:
+            part = table[::step]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # listing the whole span, then stepping it, peaked at 78 MB
+        assert peak < 1 << 20, step
+        assert part == [table[i] for i in range(1 << 17)[::step]], step
+    table = truth_table(wide_netlist())  # 2^14 rows over blocks of 64 to 4096 patterns
+    for key in (slice(None, None, 4097), slice(None, None, -5000), slice(70, None, 4097), slice(-70, 3, -5000)):
+        assert table[key] == [table[i] for i in range(1 << 14)[key]], key
+
+
+def test_tables_past_2_to_the_63_index_and_slice():
+    n = build_bcd_chain(8)  # 65 inputs: more patterns than len() can report
+    table = truth_table(n, limit=100)
+    total, garbage = 1 << 65, garbage_wires(n)
+    with pytest.raises(OverflowError):
+        len(table)
+
+    def expected(position):
+        bits = int_to_bits(position, 65)
+        result = run(n, dict(zip(n.primary_inputs, bits)))
+        outputs = tuple(result.primary_out[w] for w in n.primary_outputs)
+        return (tuple(bits), outputs, tuple(result.garbage_out[w] for w in garbage))
+
+    assert table[0] == expected(0) and table[-1] == expected(total - 1)
+    assert table[-3:] == [expected(p) for p in range(total - 3, total)]
+    assert table[:2] == [expected(0), expected(1)]
+    assert (table == []) is False and (table != []) is True
+    for position in (total, -total - 1):
+        with pytest.raises(IndexError):
+            table[position]
 
 
 NESTED_CALL = """
