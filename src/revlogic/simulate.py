@@ -3,10 +3,9 @@
 Input patterns index the primary inputs in declaration order with the
 first wire as the most significant bit; truth tables enumerate patterns
 in ascending binary order.  All functions are pure over immutable
-netlists, so exhaustive sweeps may be partitioned across workers.  The
-validation result and the evaluation plan are each built once and
-cached on the immutable netlist object; concurrent first uses may each
-build them, with equal results.  The plan, ``_Plan``, lives here, the
+netlists.  The validation result and the evaluation plan are each built
+once and cached on the immutable netlist object; concurrent first uses
+may each build them, with equal results.  The plan, ``_Plan``, lives here, the
 one module that builds or reads it, and is complete once built.
 
 Every engine reads that one plan: each gate's definition, its input and
@@ -56,6 +55,23 @@ stepped slice holds only the rows it returns.  With few enough outputs,
 a block's output columns become one little-endian 16-bit code per
 pattern, and one C call gathers the block's output tuples from a flat
 cached table of every output tuple at its code.
+
+``check_equivalence`` checks the patterns below 4096 in the calling
+process first; a broken adder usually shows its first mismatches there.
+Past that prefix, where at least 2^15 patterns remain, the host is
+Linux, the process has one thread and more than one CPU is usable, it
+splits the remaining 4096-pattern blocks into contiguous ranges, one per
+usable CPU.  The calling process checks the lowest range and an
+``os.fork``ed copy each of the others; a copy writes only the indices of
+its mismatches to a pipe, a block at a time, and the caller rebuilds
+each counterexample from its own evaluation and oracle call.  Every copy
+is killed and reaped before the call returns or raises.  Where a copy
+cannot be forked, the calling process checks every pattern past the
+prefix itself; where a copy ends without a whole report, it checks that
+copy's range and those above it.  The result, and any exception, are
+those of one in-order pass on the condition that ``oracle`` and
+``domain`` are pure: above the threshold they may run in forked copies,
+each process calling them in ascending order over its own range.
 """
 
 from __future__ import annotations
@@ -345,10 +361,15 @@ def _coded_rows(values: Sequence[int], slots: Sequence[int], size: int) -> Seque
     return picked if size > 1 else (picked,)  # one code gathers the tuple itself, not a tuple of one
 
 
+def _block_inputs(width: int, start: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The input tuples of patterns start to start + size - 1, in order; size is a power of two dividing start."""
+    # the block's high input bits are fixed, its low bits free
+    return product(*[(0, 1) if 1 << bit < size else (start >> bit & 1,) for bit in reversed(range(width))])
+
+
 def _rows(plan: _Plan, width: int, start: int, size: int, values: list) -> Iterator[TruthTableRow]:
     """The rows of patterns start to start + size - 1 from their columns: ``_block_columns``, or bits for one pattern."""
-    # size is a power of two dividing start: the block's high input bits are fixed, its low bits free
-    inputs = product(*[(0, 1) if 1 << bit < size else (start >> bit & 1,) for bit in reversed(range(width))])
+    inputs = _block_inputs(width, start, size)
     # a table of every output tuple pays where there are no more outputs than inputs
     coded = len(plan.po_slots) <= min(_CODED, width)
     outputs = (_coded_rows if coded else _bit_rows)(values, plan.po_slots, size)
@@ -376,8 +397,9 @@ class TruthTable(Sequence):
     or with equal rows, compared a block of columns at a time, or a list
     holding equal rows, and, like a list, is unhashable.  Past 63
     inputs, ``len`` raises ``OverflowError``, as ``len(range(2**63))``
-    does, while an index, a slice, iteration and equality still work.
-    It pickles as its netlist.  Tables are built by ``truth_table``.
+    does, while an index, a slice, iteration, ``reversed``, ``index``
+    and equality still work.  It pickles as its netlist.  Tables are
+    built by ``truth_table``.
     """
 
     __slots__ = ("_netlist",)
@@ -408,26 +430,46 @@ class TruthTable(Sequence):
         for start, size, values in _block_columns(plan, width, first):
             yield _rows(plan, width, start, size, values)
 
+    def _from(self, first: int) -> Iterator[TruthTableRow]:
+        """The rows of patterns ``first`` on, in order, streamed from the block that holds it."""
+        skip = first - next(_blocks(len(self._netlist.primary_inputs), first))[0]
+        return islice(chain.from_iterable(self._block_rows(first)), skip, None)
+
+    def _row(self, position: int) -> TruthTableRow:
+        """The row of pattern ``position``, evaluated on bits, as ``run`` does."""
+        plan, width = self._netlist._plan, len(self._netlist.primary_inputs)
+        return next(_rows(plan, width, position, 1, _evaluate(plan, int_to_bits(position, width), 0, 1)))
+
     def __getitem__(self, key):
-        width = len(self._netlist.primary_inputs)
         # a range of 2^k indices slices and indexes past 2^63, where len(self) cannot answer
-        patterns = range(1 << width)
+        patterns = range(1 << len(self._netlist.primary_inputs))
         if isinstance(key, slice):
             picked = patterns[key]
             if not picked:
                 return []
+            if abs(picked.step) >= _BLOCK:  # at most one row per block: evaluate only the rows returned
+                return list(map(self._row, picked))
             low, high = sorted((picked[0], picked[-1]))
-            rows = chain.from_iterable(self._block_rows(low))
-            skip = low - next(_blocks(width, low))[0]
             # the step is taken in the stream, so only the returned rows are kept
-            rows = list(islice(rows, skip, skip + high + 1 - low, abs(picked.step)))
+            rows = list(islice(self._from(low), 0, high + 1 - low, abs(picked.step)))
             return rows if picked.step > 0 else rows[::-1]
         try:
             position = patterns[key]
         except IndexError:
             raise IndexError("truth table index out of range") from None
-        plan = self._netlist._plan
-        return next(_rows(plan, width, position, 1, _evaluate(plan, int_to_bits(position, width), 0, 1)))
+        return self._row(position)
+
+    def __reversed__(self) -> Iterator[TruthTableRow]:
+        # defined on the patterns, not on len(self), which cannot answer past 2^63 - 1
+        return map(self._row, reversed(range(1 << len(self._netlist.primary_inputs))))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        """The first pattern from ``start`` to before ``stop`` whose row equals ``value``, as ``list.index`` finds it."""
+        positions = range(1 << len(self._netlist.primary_inputs))[start:stop]
+        for position, row in zip(positions, self._from(positions.start) if positions else ()):
+            if row is value or row == value:
+                return position
+        raise ValueError("row is not in the truth table")
 
     def _kept_columns(self) -> Iterator:
         """The row shape, then each block's output and garbage columns, evaluated as they are reached."""
@@ -465,6 +507,10 @@ def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> TruthTabl
     return TruthTable(netlist)
 
 
+_PREFIX = 1 << 12  # the blocks below this pattern are checked in the calling process first
+_FORK_MIN = 1 << 15  # the fewest patterns past the prefix that pay for a fork: fork and reap cost 2-3 ms
+
+
 def check_equivalence(
     netlist: Netlist,
     oracle: Callable[[tuple[int, ...]], Sequence[int]],
@@ -474,23 +520,163 @@ def check_equivalence(
 ) -> list[Counterexample]:
     """Compare primary outputs against an oracle on every in-domain pattern.
 
-    Returns up to ``max_counterexamples`` mismatches; an empty list
-    means the circuit agrees with the oracle everywhere in the domain.
-    Raises ValueError when ``max_counterexamples`` is below 1.
+    Returns up to ``max_counterexamples`` mismatches, the lowest
+    patterns first; an empty list means the circuit agrees with the
+    oracle everywhere in the domain.  Raises ValueError when
+    ``max_counterexamples`` is below 1.
+
+    The patterns below 4096 are checked first, in this process.  Past
+    them, where at least 2^15 patterns remain, the host is Linux, this
+    process has one thread and more than one CPU is usable, forked copies
+    of this process check all but the lowest of as many contiguous ranges
+    as there are usable CPUs (see the module docstring).  The result, and
+    any exception, are those of one in-order pass, provided ``oracle``
+    and ``domain`` are pure: above the threshold they may run in forked
+    copies, each calling them in ascending order over its own range.
     """
     if max_counterexamples < 1:
         raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
     plan = netlist._plan
     width = _check_width(netlist, limit)
-    inputs = product((0, 1), repeat=width)
-    mismatches: list[Counterexample] = []
-    for _start, size, values in _block_columns(plan, width):
-        for bits, actual in zip(islice(inputs, size), _bit_rows(values, plan.po_slots, size)):
+    total = 1 << width
+    found = _mismatches(plan, width, oracle, domain, 0, min(total, _PREFIX), max_counterexamples)
+    first = _PREFIX
+    if len(found) < max_counterexamples and total - first >= _FORK_MIN:
+        first = _split_check(plan, width, oracle, domain, found, max_counterexamples)
+    _extend(plan, width, oracle, domain, found, max_counterexamples, first, total)
+    return found
+
+
+def _mismatches(plan: _Plan, width: int, oracle, domain, start: int, size: int, cap: int) -> list[Counterexample]:
+    """The first ``cap`` mismatches in patterns start to start + size - 1; size is a power of two dividing start."""
+    # from pattern 0 on, the inputs are every pattern in order: one product, cheaper to make than a block's
+    inputs = _block_inputs(width, start, size) if start else product((0, 1), repeat=width)
+    found: list[Counterexample] = []
+    for block, block_size, values in _block_columns(plan, width, start):
+        if block >= start + size:
+            break
+        for bits, actual in zip(islice(inputs, block_size), _bit_rows(values, plan.po_slots, block_size)):
             if domain is not None and not domain(bits):
                 continue
             expected = tuple(oracle(bits))
             if actual != expected:
-                mismatches.append(Counterexample(bits, expected, actual))
-                if len(mismatches) >= max_counterexamples:
-                    return mismatches
-    return mismatches
+                found.append(Counterexample(bits, expected, actual))
+                if len(found) >= cap:
+                    return found
+    return found
+
+
+def _extend(plan: _Plan, width: int, oracle, domain, found: list, cap: int, first: int, stop: int) -> None:
+    """Append the mismatches in the 4096-pattern blocks from ``first`` to before ``stop`` until ``found`` holds ``cap``."""
+    for start in range(first, stop, _BLOCK):
+        if len(found) >= cap:
+            return
+        found += _mismatches(plan, width, oracle, domain, start, _BLOCK, cap - len(found))
+
+
+def _split_check(plan: _Plan, width: int, oracle, domain, found: list, cap: int) -> int:
+    """Extend ``found`` past the prefix with forked copies' help; the first pattern left for this process to check.
+
+    Forks nothing, and returns the prefix's end, unless the host is
+    Linux, this process has one thread and more than one CPU is usable.
+    Every child is killed and reaped on the way out, whatever the path.
+    """
+    import os
+    import signal
+    import sys
+
+    if sys.platform != "linux":
+        return _PREFIX
+    try:
+        workers = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return _PREFIX
+    if workers < 2 or threads != 1:  # a fork copies only the calling thread, whose peers may hold locks
+        return _PREFIX
+    total = 1 << width
+    share = -(-(total - _PREFIX) // _BLOCK // workers) * _BLOCK  # whole blocks, the lowest range the largest
+    edges = [*range(_PREFIX, total, share), total]
+    need = cap - len(found)  # the most a child reports: the cap less the prefix's mismatches
+    children: list[tuple[int, int]] = []  # (pid, read end of its report pipe), in range order
+    try:
+        for low, high in zip(edges[1:], edges[2:]):
+            try:
+                read, write = os.pipe()
+            except OSError:  # no pipe or no copy: this process checks every pattern past the prefix
+                return _PREFIX
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                return _PREFIX
+            if pid == 0:  # the child: report, then leave at once, running no handler of this process
+                status = 1
+                try:
+                    os.close(read)
+                    _report(write, plan, width, oracle, domain, low, high, need)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, read))
+            os.close(write)  # the child's copy is then the only one, so its end reads as the pipe's end
+        _extend(plan, width, oracle, domain, found, cap, edges[0], edges[1])
+        for (_pid, read), low in zip(children, edges[1:]):
+            if len(found) >= cap:
+                break
+            positions = _read_report(read, cap - len(found))
+            if positions is None:  # the child failed: its range and those above are left to this process
+                return low
+            found += [_counterexample(plan, width, oracle, position) for position in positions]
+        return total
+    finally:
+        for pid, read in children:
+            os.kill(pid, signal.SIGKILL)  # a child that has already exited is a zombie until reaped, so this finds it
+            os.close(read)
+            os.waitpid(pid, 0)
+
+
+def _report(write: int, plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> None:
+    """Write the index of each of the first ``cap`` mismatches in ``first`` to ``stop`` - 1, then ``end``.
+
+    Each block's indices are written, one decimal line each, once the
+    block is checked, so a reader can stop as soon as it has enough.
+    """
+    import os
+
+    from .gates import bits_to_int
+
+    for start in range(first, stop, _BLOCK):
+        found = _mismatches(plan, width, oracle, domain, start, _BLOCK, cap)
+        cap -= len(found)
+        done = not cap or start + _BLOCK >= stop
+        data = "".join(f"{bits_to_int(ce.inputs)}\n" for ce in found).encode() + (b"end\n" if done else b"")
+        while data:  # a write that a signal cuts short leaves the rest to write
+            data = data[os.write(write, data) :]
+        if done:
+            return
+
+
+def _read_report(read: int, need: int) -> list[int] | None:
+    """The first ``need`` indices of a child's report, or all when it has fewer; None if it ends before ``end``."""
+    import os
+
+    positions: list[int] = []
+    pending = b""
+    while chunk := os.read(read, 1 << 16):
+        *lines, pending = (pending + chunk).split(b"\n")
+        for line in lines:
+            if line == b"end":
+                return positions
+            positions.append(int(line))
+            if len(positions) == need:
+                return positions
+    return None
+
+
+def _counterexample(plan: _Plan, width: int, oracle, position: int) -> Counterexample:
+    """The counterexample at a reported pattern, from this process's own evaluation and oracle call."""
+    values = _evaluate(plan, int_to_bits(position, width), 0, 1)
+    bits = tuple(values[:width])
+    return Counterexample(bits, tuple(oracle(bits)), tuple(map(values.__getitem__, plan.po_slots)))

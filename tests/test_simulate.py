@@ -13,7 +13,7 @@ import time
 import tracemalloc
 import types
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,7 @@ from revlogic import (
     TruthTable,
     TruthTableLimitError,
     TruthTableRow,
+    adder_oracle,
     analyze,
     bits_to_int,
     build_bcd_adder,
@@ -596,18 +597,23 @@ def test_stepped_slices_hold_only_the_rows_they_return():
         assert table[key] == [table[i] for i in range(1 << 14)[key]], key
 
 
+def run_row(n, position):
+    """The truth-table row of pattern ``position``, from a single ``run``."""
+    bits = int_to_bits(position, len(n.primary_inputs))
+    result = run(n, dict(zip(n.primary_inputs, bits)))
+    outputs = tuple(result.primary_out[w] for w in n.primary_outputs)
+    return (tuple(bits), outputs, tuple(result.garbage_out[w] for w in garbage_wires(n)))
+
+
 def test_tables_past_2_to_the_63_index_and_slice():
     n = build_bcd_chain(8)  # 65 inputs: more patterns than len() can report
     table = truth_table(n, limit=100)
-    total, garbage = 1 << 65, garbage_wires(n)
+    total = 1 << 65
     with pytest.raises(OverflowError):
         len(table)
 
     def expected(position):
-        bits = int_to_bits(position, 65)
-        result = run(n, dict(zip(n.primary_inputs, bits)))
-        outputs = tuple(result.primary_out[w] for w in n.primary_outputs)
-        return (tuple(bits), outputs, tuple(result.garbage_out[w] for w in garbage))
+        return run_row(n, position)
 
     assert table[0] == expected(0) and table[-1] == expected(total - 1)
     assert table[-3:] == [expected(p) for p in range(total - 3, total)]
@@ -616,6 +622,51 @@ def test_tables_past_2_to_the_63_index_and_slice():
     for position in (total, -total - 1):
         with pytest.raises(IndexError):
             table[position]
+
+
+def test_far_stepped_slices_evaluate_only_the_rows_they_return(monkeypatch):
+    chain2, chain8 = build_bcd_chain(2), build_bcd_chain(8)
+    near = truth_table(chain2)[:9000:4095]  # a step below the block size streams the blocks
+    assert near == [run_row(chain2, p) for p in range(0, 9000, 4095)]
+
+    def streamed(*args):
+        raise AssertionError("a block was evaluated")
+
+    monkeypatch.setattr(simulate, "_block_columns", streamed)
+    # a step of at least one block reads each row it returns as an int index does
+    assert truth_table(chain2)[::8192] == [run_row(chain2, p) for p in range(0, 1 << 17, 8192)]
+    wide = truth_table(chain8, limit=100)
+    far = [run_row(chain8, p) for p in range(0, 1 << 65, 1 << 60)]
+    assert len(far) == 32
+    assert wide[:: 1 << 60] == far and wide[:: -(1 << 60)] == [run_row(chain8, p) for p in range((1 << 65) - 1, -1, -(1 << 60))]
+
+
+def test_reversed_and_index_match_a_list():
+    small = truth_table(build_ripple_adder())
+    assert list(reversed(small)) == list(small)[::-1]
+    table = truth_table(wide_netlist())  # 2^14 rows over blocks of 64 to 4096 patterns
+    rows = list(table)
+    cases = [(5,), (5, 6), (300, -16000, -100), (9000, 4096), (16383, -1), (0, -(10**9), 10**9), (70, 70, 71), (70, 71, 70)]
+    for position, *bounds in cases:
+        try:
+            expected = rows.index(rows[position], *bounds)
+        except ValueError:
+            with pytest.raises(ValueError):
+                table.index(rows[position], *bounds)
+        else:
+            assert table.index(rows[position], *bounds) == expected, (position, bounds)
+    with pytest.raises(ValueError):
+        table.index(("not", "a", "row"))
+
+
+def test_reversed_and_index_past_2_to_the_63():
+    table = truth_table(build_bcd_chain(8), limit=100)
+    last = table[-1]
+    assert next(reversed(table)) == last
+    assert table.index(last, -1) == 2**65 - 1
+    assert table.index(table[5], 3, 2**64) == 5
+    with pytest.raises(ValueError):
+        table.index(last, -3, -1)
 
 
 NESTED_CALL = """
@@ -944,6 +995,203 @@ def test_check_equivalence_matches_a_scalar_loop_across_blocks():
         assert seen == [tuple(int_to_bits(p, width)) for p in range(len(seen))]
         last = bits_to_int(scalar[cap - 1].inputs) if cap <= len(scalar) else (1 << width) - 1
         assert len(seen) == last + 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that ``os.fork`` returns to this process while the test runs."""
+    made, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def sequential_check(monkeypatch, *args, **kwargs):
+    """``check_equivalence`` with one usable CPU, so that it forks nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return check_equivalence(*args, **kwargs)
+
+
+def assert_no_children():
+    # every forked copy has been reaped: there is no child left to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+FORKING = sys.platform == "linux" and WORKERS > 1
+
+
+@pytest.fixture(scope="module")
+def wide17():
+    """A 17-input netlist and its outputs at every pattern, read from its truth table."""
+    n = wide_netlist(17)
+    return n, [row.outputs for row in truth_table(n)]
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable, as ``check_equivalence`` counts them; None leaves the host's count."""
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return WORKERS if cpus is None else cpus
+
+
+# from 65 000, two CPUs leave the calling process two of the mismatches and its copy the rest; from
+# 70 000, five CPUs fork four copies, more than there are cores, and the mismatches start in the second
+@pytest.mark.parametrize("wrong_from, cpus", [(0, None), (65_000, 2), (70_000, 5)])
+def test_forked_check_matches_a_scalar_loop(wide17, forks, monkeypatch, wrong_from, cpus):
+    n, outputs = wide17
+    workers = usable_cpus(monkeypatch, cpus)
+
+    def oracle(bits):
+        # wrong on a sparse set of patterns from wrong_from on
+        position = bits_to_int(bits)
+        expected = outputs[position]
+        if position >= wrong_from and position % 997 == 5:
+            expected = (1 - expected[0],) + expected[1:]
+        return expected
+
+    def domain(bits):
+        return bits[-2] == 0  # skips every other pair of patterns
+
+    # the scalar reference: every in-domain pattern in ascending order
+    scalar = []
+    for position, bits in enumerate(product((0, 1), repeat=17)):
+        if domain(bits) and outputs[position] != oracle(bits):
+            scalar.append(Counterexample(bits, oracle(bits), outputs[position]))
+    assert len(scalar) > 5 and bits_to_int(scalar[-1].inputs) > 120_000
+    assert (bits_to_int(scalar[0].inputs) < simulate._PREFIX) == (wrong_from == 0)
+
+    for cap in (1, 5, len(scalar), 10_000):
+        forks.clear()
+        assert check_equivalence(n, oracle, domain, max_counterexamples=cap) == scalar[:cap], cap
+        assert_no_children()
+        # the prefix holds the first mismatches when they start at 0, so no copy is forked for the caps it meets
+        met_in_prefix = bits_to_int(scalar[min(cap, len(scalar)) - 1].inputs) < simulate._PREFIX
+        assert len(forks) == (0 if met_in_prefix or sys.platform != "linux" else workers - 1), cap
+
+
+def constant_flips(n, picks):
+    """The netlists with one of ``n``'s constants flipped, for each constant index in ``picks``."""
+    for k in picks:
+        wire, value = n.constants[k]
+        yield Netlist(n.name, n.primary_inputs, n.constants[:k] + ((wire, 1 - value),) + n.constants[k + 1 :], n.gates, n.primary_outputs)
+
+
+def test_forked_check_of_constant_flip_mutants_matches_the_sequential_engine(monkeypatch):
+    n = build_bcd_chain(2)
+    oracle = adder_oracle(2)[0]
+
+    def domain(bits):
+        # adder_oracle's domain, unrolled: no operand digit above 9
+        return not (
+            bits[0] and (bits[1] or bits[2])
+            or bits[4] and (bits[5] or bits[6])
+            or bits[8] and (bits[9] or bits[10])
+            or bits[12] and (bits[13] or bits[14])
+        )
+
+    # flipped, d0_zero0 is wrong from pattern 0 on, d0_zero9 from 3 and d1_zero9 from 51
+    wrong = {"d0_zero0": 20000, "d0_zero9": 9200, "d1_zero9": 9200}  # in-domain mismatches
+    picks = [k for k, (wire, _value) in enumerate(n.constants) if wire in wrong]
+    for k, mutant in zip(picks, constant_flips(n, picks)):
+        wire = n.constants[k][0]
+        for cap in (1, 16, 10**6) if wire == "d1_zero9" else (1, 16):  # a full sweep of both engines
+            expected = sequential_check(monkeypatch, mutant, oracle, domain, max_counterexamples=cap)
+            assert len(expected) == min(cap, wrong[wire]), (wire, cap)
+            assert check_equivalence(mutant, oracle, domain, max_counterexamples=cap) == expected, (wire, cap)
+            assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [None, 5])
+def test_forked_check_raises_what_the_sequential_engine_raises(wide17, monkeypatch, cpus):
+    n, outputs = wide17
+    usable_cpus(monkeypatch, cpus)
+
+    def oracle(bits):
+        position = bits_to_int(bits)
+        if position >= 100_000:  # past the calling process's range: only a forked copy reaches it, after others report
+            raise ArithmeticError(f"no answer at {position}")
+        return outputs[position]
+
+    with pytest.raises(ArithmeticError) as expected:
+        sequential_check(monkeypatch, n, oracle)
+    with pytest.raises(ArithmeticError) as raised:
+        check_equivalence(n, oracle)
+    assert str(raised.value) == str(expected.value) == "no answer at 100000"
+    assert_no_children()
+
+
+def test_a_cap_met_in_the_calling_process_kills_the_copies(wide17, monkeypatch):
+    n, outputs = wide17
+    usable_cpus(monkeypatch, 2)  # the calling process checks patterns 4096 to 69 631, its copy the rest
+
+    def oracle(bits):
+        position = bits_to_int(bits)
+        if position == 69_632:  # the copy's first pattern: a copy left to finish would hold the call
+            time.sleep(30)
+        expected = outputs[position]
+        return (1 - expected[0],) + expected[1:] if 5000 <= position < 5003 else expected
+
+    began = time.monotonic()
+    found = check_equivalence(n, oracle, max_counterexamples=3)
+    assert [bits_to_int(ce.inputs) for ce in found] == [5000, 5001, 5002]
+    assert time.monotonic() - began < 20
+    assert_no_children()
+
+
+def test_check_forks_nothing_with_a_second_thread_or_a_failing_fork(wide17, forks, monkeypatch):
+    n, outputs = wide17
+
+    def oracle(bits):
+        position = bits_to_int(bits)
+        return outputs[position] if position % 1009 else (1,) * len(outputs[0])
+
+    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=40)
+    assert len(expected) == 40 and bits_to_int(expected[-1].inputs) > simulate._PREFIX
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert check_equivalence(n, oracle, max_counterexamples=40) == expected
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    # 15 inputs leave fewer than 2^15 patterns past the prefix
+    assert check_equivalence(wide_netlist(15), lambda bits: (), lambda bits: False) == []
+    assert forks == []
+
+    def refused():
+        raise BlockingIOError("resource temporarily unavailable")
+
+    recording = os.fork
+    monkeypatch.setattr(os, "fork", refused)
+    assert check_equivalence(n, oracle, max_counterexamples=40) == expected
+    # with the second copy refused, the first is killed and reaped, and this process checks every pattern
+    monkeypatch.setattr(os, "fork", lambda: refused() if forks else recording())
+    usable_cpus(monkeypatch, 5)
+    assert check_equivalence(n, oracle, max_counterexamples=40) == expected
+    assert len(forks) == (1 if sys.platform == "linux" else 0)
+    assert_no_children()
+    monkeypatch.setattr(os, "pipe", refused)
+    assert check_equivalence(n, oracle, max_counterexamples=40) == expected
+
+
+@pytest.mark.skipif(not FORKING, reason="forks only on Linux with more than one usable CPU")
+def test_passing_check_of_bcd_chain_2_forks_a_copy_per_extra_cpu(forks):
+    n = build_bcd_chain(2)
+    assert check_equivalence(n, *adder_oracle(2)) == []
+    # a range is at least one of the 31 blocks of 4096 patterns past the prefix
+    assert len(forks) == min(WORKERS, 31) - 1
+    assert_no_children()
 
 
 def random_permutation_gate(arity, seed):
