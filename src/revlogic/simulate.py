@@ -58,32 +58,36 @@ cached table of every output tuple at its code.
 
 ``check_equivalence`` checks the patterns below 4096 in the calling
 process first; a broken adder usually shows its first mismatches there.
-Past that prefix, where at least 2^15 patterns remain, the host is
-Linux, the process has one thread and more than one CPU is usable, it
-splits the remaining 4096-pattern blocks into contiguous ranges, one per
-usable CPU.  The calling process checks the lowest range and an
-``os.fork``ed copy each of the others; a copy writes only the indices of
-its mismatches to a pipe, a block at a time, and the caller rebuilds
-each counterexample from its own evaluation and oracle call.  Every copy
-is killed and reaped before the call returns or raises.  Where a copy
-cannot be forked, the calling process checks every pattern past the
-prefix itself; where a copy ends without a whole report, it checks that
-copy's range and those above it.  The result, and any exception, are
-those of one in-order pass on the condition that ``oracle`` and
-``domain`` are pure: above the threshold they may run in forked copies,
-each process calling them in ascending order over its own range.
+It splits the rest into contiguous ranges of whole 4096-pattern blocks,
+one per worker, and takes them in one loop, in order, until it holds
+the cap.  There is one worker, and so one range, unless at least 2^15
+patterns remain, the host is Linux and the process has one thread; then
+there is one per usable CPU.  The calling process checks the lowest
+range, and an ``os.fork``ed copy each of the others.  A copy checks its
+range, stopping at the cap, then writes the indices of its mismatches
+to a pipe, followed by ``end``; the caller reads that report to the
+pipe's end and rebuilds each counterexample from its own evaluation and
+oracle call.  A copy that was not made, or whose report ended without
+``end``, counts as no copy: the calling process checks that range, and
+only that range, itself.  Every copy is killed and reaped before the call returns or
+raises.  The result, and any exception, are those of one in-order pass
+on the condition that ``oracle`` and ``domain`` are pure: above the
+threshold they may run in forked copies, each process calling them in
+ascending order over its own range.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, count, islice, product, repeat
 from operator import attrgetter, eq, itemgetter
 from struct import unpack
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .gates import int_to_bits, is_bit
+from .gates import bits_to_int, int_to_bits, is_bit
 from .netlist import Netlist
 
 DEFAULT_INPUT_LIMIT = 20
@@ -182,6 +186,8 @@ def run_inverse(netlist: Netlist, terminal: Mapping[str, int]) -> dict[str, int]
 
 
 def _check_width(netlist: Netlist, limit: int) -> int:
+    if type(limit) is not int:  # None or "20" would fail in the comparison, and True is not 1
+        raise ValueError(f"limit must be an int, got {limit!r}")
     width = len(netlist.primary_inputs)
     if width > limit:
         raise TruthTableLimitError(
@@ -523,39 +529,68 @@ def check_equivalence(
     Returns up to ``max_counterexamples`` mismatches, the lowest
     patterns first; an empty list means the circuit agrees with the
     oracle everywhere in the domain.  Raises ValueError when
+    ``max_counterexamples`` or ``limit`` is not an int, or when
     ``max_counterexamples`` is below 1.
 
-    The patterns below 4096 are checked first, in this process.  Past
-    them, where at least 2^15 patterns remain, the host is Linux, this
-    process has one thread and more than one CPU is usable, forked copies
-    of this process check all but the lowest of as many contiguous ranges
-    as there are usable CPUs (see the module docstring).  The result, and
-    any exception, are those of one in-order pass, provided ``oracle``
-    and ``domain`` are pure: above the threshold they may run in forked
+    The patterns below 4096 are checked first, in this process.  The
+    rest are split into contiguous ranges of whole 4096-pattern blocks,
+    one per worker, and taken in order until the cap is met: this
+    process checks the lowest range, and reads each other range's
+    mismatches from the forked copy that checked it.  A copy that was
+    not made, or that ended without a whole report, counts as no copy:
+    this process checks that range, and only that range, itself.  There
+    is more than one worker only where at least 2^15 patterns remain,
+    the host is Linux, this process has one thread and more than one
+    CPU is usable (see the module docstring).  The result, and any
+    exception, are those of one in-order pass, provided ``oracle`` and
+    ``domain`` are pure: above the threshold they may run in forked
     copies, each calling them in ascending order over its own range.
     """
+    if type(max_counterexamples) is not int:  # True is not 1, and 2.5 is no cap
+        raise ValueError(f"max_counterexamples must be an int, got {max_counterexamples!r}")
     if max_counterexamples < 1:
         raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
-    plan = netlist._plan
+    plan, cap = netlist._plan, max_counterexamples
     width = _check_width(netlist, limit)
     total = 1 << width
-    found = _mismatches(plan, width, oracle, domain, 0, min(total, _PREFIX), max_counterexamples)
-    first = _PREFIX
-    if len(found) < max_counterexamples and total - first >= _FORK_MIN:
-        first = _split_check(plan, width, oracle, domain, found, max_counterexamples)
-    _extend(plan, width, oracle, domain, found, max_counterexamples, first, total)
+    found = _mismatches(plan, width, oracle, domain, 0, min(total, _PREFIX), cap)
+    if len(found) >= cap or total <= _PREFIX:  # a broken adder usually fails fast: nothing past the prefix is set up
+        return found
+    workers = _workers() if total - _PREFIX >= _FORK_MIN else 1
+    share = -(-(total - _PREFIX) // _BLOCK // workers) * _BLOCK  # whole blocks, the lowest range the largest
+    edges = [*range(_PREFIX, total, share), total]
+    copies: list[tuple[int, int] | None] = [None]  # per range, (pid, read end of its report pipe) or None
+    try:
+        for low, high in zip(edges[1:], edges[2:]):  # a copy reports at most the cap less the prefix's mismatches
+            copies.append(_fork(plan, width, oracle, domain, low, high, cap - len(found)))
+        for copy, low, high in zip(copies, edges, edges[1:]):
+            if len(found) >= cap:
+                break
+            report = _read_report(copy[1]) if copy else None
+            if report is None:  # no copy, or one that ended without ``end``: this process checks the range
+                found += _mismatches(plan, width, oracle, domain, low, high, cap - len(found))
+            else:
+                found += [_counterexample(plan, width, oracle, position) for position in report[: cap - len(found)]]
+    finally:
+        for pid, read in filter(None, copies):
+            import signal  # loaded only once a copy has been made
+
+            os.kill(pid, signal.SIGKILL)  # a copy that has already exited is a zombie until reaped, so this finds it
+            os.close(read)
+            os.waitpid(pid, 0)
     return found
 
 
-def _mismatches(plan: _Plan, width: int, oracle, domain, start: int, size: int, cap: int) -> list[Counterexample]:
-    """The first ``cap`` mismatches in patterns start to start + size - 1; size is a power of two dividing start."""
+def _mismatches(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> list[Counterexample]:
+    """The first ``cap`` mismatches in patterns ``first`` to ``stop`` - 1; both are edges of blocks."""
     # from pattern 0 on, the inputs are every pattern in order: one product, cheaper to make than a block's
-    inputs = _block_inputs(width, start, size) if start else product((0, 1), repeat=width)
+    every = None if first else product((0, 1), repeat=width)
     found: list[Counterexample] = []
-    for block, block_size, values in _block_columns(plan, width, start):
-        if block >= start + size:
+    for start, size, values in _block_columns(plan, width, first):
+        if start >= stop:
             break
-        for bits, actual in zip(islice(inputs, block_size), _bit_rows(values, plan.po_slots, block_size)):
+        inputs = islice(every, size) if every else _block_inputs(width, start, size)
+        for bits, actual in zip(inputs, _bit_rows(values, plan.po_slots, size)):
             if domain is not None and not domain(bits):
                 continue
             expected = tuple(oracle(bits))
@@ -566,113 +601,52 @@ def _mismatches(plan: _Plan, width: int, oracle, domain, start: int, size: int, 
     return found
 
 
-def _extend(plan: _Plan, width: int, oracle, domain, found: list, cap: int, first: int, stop: int) -> None:
-    """Append the mismatches in the 4096-pattern blocks from ``first`` to before ``stop`` until ``found`` holds ``cap``."""
-    for start in range(first, stop, _BLOCK):
-        if len(found) >= cap:
-            return
-        found += _mismatches(plan, width, oracle, domain, start, _BLOCK, cap - len(found))
+def _workers() -> int:
+    """The usable CPUs where a fork is safe, on Linux in a process of one thread; else 1."""
+    if sys.platform == "linux":
+        try:
+            if len(os.listdir("/proc/self/task")) == 1:  # a fork copies only the calling thread, whose peers may hold locks
+                return len(os.sched_getaffinity(0))
+        except OSError:
+            pass
+    return 1
 
 
-def _split_check(plan: _Plan, width: int, oracle, domain, found: list, cap: int) -> int:
-    """Extend ``found`` past the prefix with forked copies' help; the first pattern left for this process to check.
+def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> tuple[int, int] | None:
+    """(pid, read end) of a forked copy that reports the first ``cap`` mismatches in ``first`` to ``stop`` - 1.
 
-    Forks nothing, and returns the prefix's end, unless the host is
-    Linux, this process has one thread and more than one CPU is usable.
-    Every child is killed and reaped on the way out, whatever the path.
+    The copy writes each one's index as a decimal line, then ``end``,
+    once its scan ends.  None where no pipe or no copy could be made.
     """
-    import os
-    import signal
-    import sys
-
-    if sys.platform != "linux":
-        return _PREFIX
     try:
-        workers = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
+        read, write = os.pipe()
     except OSError:
-        return _PREFIX
-    if workers < 2 or threads != 1:  # a fork copies only the calling thread, whose peers may hold locks
-        return _PREFIX
-    total = 1 << width
-    share = -(-(total - _PREFIX) // _BLOCK // workers) * _BLOCK  # whole blocks, the lowest range the largest
-    edges = [*range(_PREFIX, total, share), total]
-    need = cap - len(found)  # the most a child reports: the cap less the prefix's mismatches
-    children: list[tuple[int, int]] = []  # (pid, read end of its report pipe), in range order
+        return None
     try:
-        for low, high in zip(edges[1:], edges[2:]):
-            try:
-                read, write = os.pipe()
-            except OSError:  # no pipe or no copy: this process checks every pattern past the prefix
-                return _PREFIX
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                return _PREFIX
-            if pid == 0:  # the child: report, then leave at once, running no handler of this process
-                status = 1
-                try:
-                    os.close(read)
-                    _report(write, plan, width, oracle, domain, low, high, need)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, read))
-            os.close(write)  # the child's copy is then the only one, so its end reads as the pipe's end
-        _extend(plan, width, oracle, domain, found, cap, edges[0], edges[1])
-        for (_pid, read), low in zip(children, edges[1:]):
-            if len(found) >= cap:
-                break
-            positions = _read_report(read, cap - len(found))
-            if positions is None:  # the child failed: its range and those above are left to this process
-                return low
-            found += [_counterexample(plan, width, oracle, position) for position in positions]
-        return total
-    finally:
-        for pid, read in children:
-            os.kill(pid, signal.SIGKILL)  # a child that has already exited is a zombie until reaped, so this finds it
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:  # the copy: report, then leave at once, running no handler of this process
+        status = 1
+        try:
             os.close(read)
-            os.waitpid(pid, 0)
+            found = _mismatches(plan, width, oracle, domain, first, stop, cap)
+            data = "".join(f"{bits_to_int(ce.inputs)}\n" for ce in found).encode() + b"end\n"
+            while data:  # a write that a signal cuts short leaves the rest to write
+                data = data[os.write(write, data) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)  # the copy's end is then the only one, so its exit reads as the pipe's end
+    return pid, read
 
 
-def _report(write: int, plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> None:
-    """Write the index of each of the first ``cap`` mismatches in ``first`` to ``stop`` - 1, then ``end``.
-
-    Each block's indices are written, one decimal line each, once the
-    block is checked, so a reader can stop as soon as it has enough.
-    """
-    import os
-
-    from .gates import bits_to_int
-
-    for start in range(first, stop, _BLOCK):
-        found = _mismatches(plan, width, oracle, domain, start, _BLOCK, cap)
-        cap -= len(found)
-        done = not cap or start + _BLOCK >= stop
-        data = "".join(f"{bits_to_int(ce.inputs)}\n" for ce in found).encode() + (b"end\n" if done else b"")
-        while data:  # a write that a signal cuts short leaves the rest to write
-            data = data[os.write(write, data) :]
-        if done:
-            return
-
-
-def _read_report(read: int, need: int) -> list[int] | None:
-    """The first ``need`` indices of a child's report, or all when it has fewer; None if it ends before ``end``."""
-    import os
-
-    positions: list[int] = []
-    pending = b""
-    while chunk := os.read(read, 1 << 16):
-        *lines, pending = (pending + chunk).split(b"\n")
-        for line in lines:
-            if line == b"end":
-                return positions
-            positions.append(int(line))
-            if len(positions) == need:
-                return positions
-    return None
+def _read_report(read: int) -> list[int] | None:
+    """The indices of a copy's report, read to the pipe's end; None if it ends before ``end``."""
+    lines = b"".join(iter(partial(os.read, read, 1 << 16), b"")).split()
+    return list(map(int, lines[:-1])) if lines[-1:] == [b"end"] else None
 
 
 def _counterexample(plan: _Plan, width: int, oracle, position: int) -> Counterexample:

@@ -259,6 +259,21 @@ def test_check_equivalence_counterexample_cap():
             check_equivalence(n9, always_wrong, max_counterexamples=cap)
 
 
+def test_a_cap_or_limit_that_is_not_an_int_is_refused():
+    n = build_bcd_adder("bcd2")
+    wrong = lambda bits: (0,) * 5
+    assert len(check_equivalence(n, wrong, max_counterexamples=3)) == 3
+    # 2.5 used to be read as a cap of 3, and True as 1; the others failed in a comparison with a bare TypeError
+    for cap in (2.5, 3.0, "3", None, True):
+        with pytest.raises(ValueError, match=r"^max_counterexamples must be an int, got "):
+            check_equivalence(n, wrong, max_counterexamples=cap)
+    for limit in (None, "20", 20.0, True):
+        with pytest.raises(ValueError, match=r"^limit must be an int, got "):
+            check_equivalence(n, wrong, limit=limit)
+        with pytest.raises(ValueError, match=r"^limit must be an int, got "):
+            truth_table(n, limit=limit)
+
+
 def test_int_bit_helpers():
     assert int_to_bits(9, 4) == [1, 0, 0, 1]
     assert bits_to_int([1, 0, 0, 1]) == 9
@@ -1183,6 +1198,59 @@ def test_check_forks_nothing_with_a_second_thread_or_a_failing_fork(wide17, fork
     assert_no_children()
     monkeypatch.setattr(os, "pipe", refused)
     assert check_equivalence(n, oracle, max_counterexamples=40) == expected
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+def test_a_copy_that_dies_leaves_only_its_own_range_to_the_calling_process(wide17, forks, monkeypatch):
+    n, outputs = wide17
+    usable_cpus(monkeypatch, 5)  # ranges from 4096, 32 768, 61 440, 90 112 and 118 784: the caller checks the first
+    caller, calls = os.getpid(), []
+
+    def oracle(bits):
+        position = bits_to_int(bits)
+        if os.getpid() == caller:
+            calls.append(position)
+        elif position == 70_000:  # in the second copy's range: that copy ends with no report
+            os._exit(3)
+        expected = outputs[position]
+        return (1 - expected[0],) + expected[1:] if position % 997 == 5 else expected
+
+    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=10_000)
+    wrong = [bits_to_int(ce.inputs) for ce in expected]
+    assert len(wrong) == 132 and wrong[0] < simulate._PREFIX and wrong[-1] > 118_784
+    calls.clear()
+    assert check_equivalence(n, oracle, max_counterexamples=10_000) == expected
+    assert len(forks) == 4
+    assert_no_children()
+    # this process called the oracle on the prefix, its own range and the dead copy's range, each pattern once,
+    # and once more on each pattern that the other copies reported, to rebuild its counterexample; in that order
+    dead = range(61_440, 90_112)
+    assert calls == sorted({*range(32_768), *dead, *wrong})
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+def test_a_report_larger_than_a_pipe_buffer_is_read_whole(forks, monkeypatch):
+    n = wide_netlist(16)
+    outputs = [row.outputs for row in truth_table(n)]
+    usable_cpus(monkeypatch, 2)  # the caller checks patterns 4096 to 36 863, its copy 36 864 to 65 535
+    caller, calls = os.getpid(), []
+
+    def oracle(bits):
+        position = bits_to_int(bits)
+        if os.getpid() == caller:
+            calls.append(position)
+        expected = outputs[position]
+        return (1 - expected[0],) + expected[1:] if position >= 40_960 and position % 2 else expected
+
+    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=20_000)
+    # 12 288 five-digit indices and their newlines: 73 728 bytes, more than a 64 KiB pipe buffer holds
+    assert len(expected) == 12_288
+    calls.clear()
+    assert check_equivalence(n, oracle, max_counterexamples=20_000) == expected
+    assert len(forks) == 1
+    assert_no_children()
+    # the whole report was read: this process checked no pattern of the copy's range but the reported ones
+    assert calls == [*range(36_864), *range(40_961, 65_536, 2)]
 
 
 @pytest.mark.skipif(not FORKING, reason="forks only on Linux with more than one usable CPU")
