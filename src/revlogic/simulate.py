@@ -64,30 +64,32 @@ the cap.  There is one worker, and so one range, unless at least 2^15
 patterns remain, the host is Linux and the process has one thread; then
 there is one per usable CPU.  The calling process checks the lowest
 range, and an ``os.fork``ed copy each of the others.  A copy checks its
-range, stopping at the cap, then writes the indices of its mismatches
-to a pipe, followed by ``end``; the caller reads that report to the
-pipe's end and rebuilds each counterexample from its own evaluation and
-oracle call.  A copy that was not made, or whose report ended without
-``end``, counts as no copy: the calling process checks that range, and
-only that range, itself.  Every copy is killed and reaped before the call returns or
-raises.  The result, and any exception, are those of one in-order pass
-on the condition that ``oracle`` and ``domain`` are pure: above the
-threshold they may run in forked copies, each process calling them in
-ascending order over its own range.
+range, stopping at the cap, then sends the counterexamples it found
+through a pipe with ``marshal``, and the caller appends them as they
+are: each pattern is checked in one process only, unless its copy
+fails.  A copy that was not made, or whose report does not unmarshal
+(it raised, died, or met an oracle output that is not an int or a
+bool), counts as no copy: the calling process checks that range, and
+only that range, itself.  Every copy is killed and reaped
+before the call returns or raises.  The result, and any exception, are
+those of one in-order pass on the condition that ``oracle`` and
+``domain`` are pure: above the threshold they may run in forked copies,
+each process calling them in ascending order over its own range.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 import sys
 from collections.abc import Sequence
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, product, repeat
 from operator import attrgetter, eq, itemgetter
 from struct import unpack
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .gates import bits_to_int, int_to_bits, is_bit
+from .gates import int_to_bits, is_bit
 from .netlist import Netlist
 
 DEFAULT_INPUT_LIMIT = 20
@@ -535,9 +537,9 @@ def check_equivalence(
     The patterns below 4096 are checked first, in this process.  The
     rest are split into contiguous ranges of whole 4096-pattern blocks,
     one per worker, and taken in order until the cap is met: this
-    process checks the lowest range, and reads each other range's
-    mismatches from the forked copy that checked it.  A copy that was
-    not made, or that ended without a whole report, counts as no copy:
+    process checks the lowest range, and appends what the forked copy of
+    each other range reports: each pattern is checked in one process,
+    unless its copy was not made or its report does not unmarshal; then
     this process checks that range, and only that range, itself.  There
     is more than one worker only where at least 2^15 patterns remain,
     the host is Linux, this process has one thread and more than one
@@ -567,10 +569,10 @@ def check_equivalence(
             if len(found) >= cap:
                 break
             report = _read_report(copy[1]) if copy else None
-            if report is None:  # no copy, or one that ended without ``end``: this process checks the range
+            if report is None:  # no copy, or a report that does not unmarshal: this process checks the range
                 found += _mismatches(plan, width, oracle, domain, low, high, cap - len(found))
             else:
-                found += [_counterexample(plan, width, oracle, position) for position in report[: cap - len(found)]]
+                found += map(Counterexample._make, report[: cap - len(found)])
     finally:
         for pid, read in filter(None, copies):
             import signal  # loaded only once a copy has been made
@@ -615,8 +617,8 @@ def _workers() -> int:
 def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> tuple[int, int] | None:
     """(pid, read end) of a forked copy that reports the first ``cap`` mismatches in ``first`` to ``stop`` - 1.
 
-    The copy writes each one's index as a decimal line, then ``end``,
-    once its scan ends.  None where no pipe or no copy could be made.
+    The copy writes them as plain tuples with ``marshal`` once its scan ends, if every
+    expected output is an int or a bool.  None where no pipe or no copy could be made.
     """
     try:
         read, write = os.pipe()
@@ -633,9 +635,10 @@ def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: i
         try:
             os.close(read)
             found = _mismatches(plan, width, oracle, domain, first, stop, cap)
-            data = "".join(f"{bits_to_int(ce.inputs)}\n" for ce in found).encode() + b"end\n"
-            while data:  # a write that a signal cuts short leaves the rest to write
-                data = data[os.write(write, data) :]
+            # marshal refuses an int subclass, but writes any buffer (a numpy int, a bytearray) as bytes
+            if {*map(type, chain.from_iterable(map(itemgetter(1), found)))} <= {int, bool}:
+                with open(write, "wb") as report:
+                    report.write(marshal.dumps(list(map(tuple, found))))
             status = 0
         finally:
             os._exit(status)
@@ -643,14 +646,10 @@ def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: i
     return pid, read
 
 
-def _read_report(read: int) -> list[int] | None:
-    """The indices of a copy's report, read to the pipe's end; None if it ends before ``end``."""
-    lines = b"".join(iter(partial(os.read, read, 1 << 16), b"")).split()
-    return list(map(int, lines[:-1])) if lines[-1:] == [b"end"] else None
-
-
-def _counterexample(plan: _Plan, width: int, oracle, position: int) -> Counterexample:
-    """The counterexample at a reported pattern, from this process's own evaluation and oracle call."""
-    values = _evaluate(plan, int_to_bits(position, width), 0, 1)
-    bits = tuple(values[:width])
-    return Counterexample(bits, tuple(oracle(bits)), tuple(map(values.__getitem__, plan.po_slots)))
+def _read_report(read: int) -> list | None:
+    """A copy's counterexamples as plain tuples, read to the pipe's end; None if the report does not unmarshal."""
+    try:
+        with open(read, "rb", closefd=False) as report:
+            return marshal.loads(report.read())
+    except (EOFError, ValueError):  # empty or cut short: the copy raised, died or sent nothing
+        return None

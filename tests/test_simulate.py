@@ -1223,9 +1223,9 @@ def test_a_copy_that_dies_leaves_only_its_own_range_to_the_calling_process(wide1
     assert len(forks) == 4
     assert_no_children()
     # this process called the oracle on the prefix, its own range and the dead copy's range, each pattern once,
-    # and once more on each pattern that the other copies reported, to rebuild its counterexample; in that order
+    # in that order; the other copies reported their counterexamples whole
     dead = range(61_440, 90_112)
-    assert calls == sorted({*range(32_768), *dead, *wrong})
+    assert calls == [*range(32_768), *dead]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
@@ -1243,14 +1243,69 @@ def test_a_report_larger_than_a_pipe_buffer_is_read_whole(forks, monkeypatch):
         return (1 - expected[0],) + expected[1:] if position >= 40_960 and position % 2 else expected
 
     expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=20_000)
-    # 12 288 five-digit indices and their newlines: 73 728 bytes, more than a 64 KiB pipe buffer holds
+    # 12 288 marshalled counterexamples of 16 inputs and 10 outputs: about 2.3 MB, far more than a 64 KiB pipe buffer holds
     assert len(expected) == 12_288
     calls.clear()
     assert check_equivalence(n, oracle, max_counterexamples=20_000) == expected
     assert len(forks) == 1
     assert_no_children()
-    # the whole report was read: this process checked no pattern of the copy's range but the reported ones
-    assert calls == [*range(36_864), *range(40_961, 65_536, 2)]
+    # the whole report was read: this process checked no pattern of the copy's range
+    assert calls == [*range(36_864)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+@pytest.mark.parametrize("cpus", [2, 5])
+def test_each_pattern_is_checked_in_one_process(wide17, forks, monkeypatch, tmp_path, cpus):
+    n, outputs = wide17
+    usable_cpus(monkeypatch, cpus)
+    log = []  # once opened, the fd on which every process appends its pid and each pattern it checks
+
+    def oracle(bits):
+        position = bits_to_int(bits)
+        if log:
+            os.write(log[0], f"{os.getpid()} {position}\n".encode())
+        expected = outputs[position]
+        return (1 - expected[0],) + expected[1:] if position % 997 == 5 else expected
+
+    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=10_000)
+    assert len(expected) == 132  # a cap that no range meets
+    calls = tmp_path / "calls"
+    log.append(os.open(calls, os.O_WRONLY | os.O_CREAT | os.O_APPEND))  # inherited by each copy
+    try:
+        assert check_equivalence(n, oracle, max_counterexamples=10_000) == expected
+    finally:
+        os.close(log.pop())
+    assert len(forks) == cpus - 1
+    assert_no_children()
+    checked = [line.split() for line in calls.read_text().splitlines()]
+    # every pattern was checked once, in one process: a reported counterexample is not checked again
+    assert sorted(int(position) for _pid, position in checked) == [*range(1 << 17)]
+    assert {int(pid) for pid, _position in checked} == {os.getpid(), *forks}
+
+
+class Bit(int):
+    """An int that marshal refuses."""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+@pytest.mark.parametrize("output", [Bit, lambda bit: bytearray([bit])], ids=["int-subclass", "bytearray"])
+def test_an_output_that_marshal_refuses_or_changes_is_checked_in_the_calling_process(forks, monkeypatch, output):
+    n = build_bcd_chain(2)
+    spec, domain = adder_oracle(2)
+    usable_cpus(monkeypatch, 2)  # the calling process checks patterns 4096 to 69 631, its copy the rest
+
+    def oracle(bits):
+        expected = spec(bits)
+        # marshal refuses an int subclass, and would send a bytearray back as bytes
+        return (output(1 - expected[0]), *expected[1:]) if bits_to_int(bits) >= 70_000 else expected
+
+    expected = sequential_check(monkeypatch, n, oracle, domain)
+    assert bits_to_int(expected[0].inputs) == 70_144 and len(expected) == 16
+    found = check_equivalence(n, oracle, domain)
+    assert found == expected
+    assert len(forks) == 1
+    assert_no_children()
+    assert all(type(ce.expected[0]) is type(output(0)) for ce in found)
 
 
 @pytest.mark.skipif(not FORKING, reason="forks only on Linux with more than one usable CPU")
