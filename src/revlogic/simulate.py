@@ -56,30 +56,16 @@ a block's output columns become one little-endian 16-bit code per
 pattern, and one C call gathers the block's output tuples from a flat
 cached table of every output tuple at its code.
 
-``check_equivalence`` checks the patterns below 4096 in the calling
-process first; a broken adder usually shows its first mismatches there.
-It splits the rest into contiguous ranges of whole 4096-pattern blocks,
-one per worker, and takes them in one loop, in order, until it holds
-the cap.  There is one worker, and so one range, unless at least 2^15
-patterns remain, the host is Linux and the process has one thread; then
-there is one per usable CPU.  The calling process checks the lowest
-range, and an ``os.fork``ed copy each of the others.  A copy checks its
-range, stopping at the cap, then sends the counterexamples it found
-through a pipe with ``marshal``, and the caller appends them as they
-are: each pattern is checked in one process only, unless its copy
-fails.  A copy that was not made, or whose report does not unmarshal
-(it raised, died, or met an oracle output that is not an int or a
-bool), counts as no copy: the calling process checks that range, and
-only that range, itself.  Every copy is killed and reaped
-before the call returns or raises.  The result, and any exception, are
-those of one in-order pass on the condition that ``oracle`` and
-``domain`` are pure: above the threshold they may run in forked copies,
-each process calling them in ascending order over its own range.
+``check_equivalence`` checks the patterns below 4096 first; a broken
+adder usually shows its first mismatches there.  Past them, where at
+least 2^15 patterns remain, it may split the rest across forked copies
+of the calling process, as its docstring sets out.  Its result, and any
+exception, are those of one in-order pass, provided ``oracle`` and
+``domain`` are pure.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import sys
 from collections.abc import Sequence
@@ -536,17 +522,22 @@ def check_equivalence(
 
     The patterns below 4096 are checked first, in this process.  The
     rest are split into contiguous ranges of whole 4096-pattern blocks,
-    one per worker, and taken in order until the cap is met: this
-    process checks the lowest range, and appends what the forked copy of
-    each other range reports: each pattern is checked in one process,
-    unless its copy was not made or its report does not unmarshal; then
-    this process checks that range, and only that range, itself.  There
-    is more than one worker only where at least 2^15 patterns remain,
-    the host is Linux, this process has one thread and more than one
-    CPU is usable (see the module docstring).  The result, and any
+    one per worker, and taken in order until the cap is met.  There is
+    one worker, and so one range, unless at least 2^15 patterns remain,
+    the host is Linux, this process has one thread and leaves SIGCHLD at
+    its default; then there is one per usable CPU.  This process checks
+    the lowest range, and an ``os.fork``ed copy each of the others.  A
+    copy checks its range, stopping at the cap, then sends the list of
+    counterexamples it found through a pipe with ``pickle``, and this
+    process appends it as it is: each pattern is checked in one process.
+    A copy that was not made, or that sent no whole report (it could not
+    pickle its list, raised or died), counts as no copy: this process
+    checks that range, and only that range, itself.  Every copy is killed
+    and reaped before the call returns or raises.  The result, and any
     exception, are those of one in-order pass, provided ``oracle`` and
     ``domain`` are pure: above the threshold they may run in forked
-    copies, each calling them in ascending order over its own range.
+    copies, each process calling them in ascending order over its own
+    range.
     """
     if type(max_counterexamples) is not int:  # True is not 1, and 2.5 is no cap
         raise ValueError(f"max_counterexamples must be an int, got {max_counterexamples!r}")
@@ -569,13 +560,12 @@ def check_equivalence(
             if len(found) >= cap:
                 break
             report = _read_report(copy[1]) if copy else None
-            if report is None:  # no copy, or a report that does not unmarshal: this process checks the range
-                found += _mismatches(plan, width, oracle, domain, low, high, cap - len(found))
-            else:
-                found += map(Counterexample._make, report[: cap - len(found)])
+            if report is None:  # no copy, or no whole report: this process checks the range
+                report = _mismatches(plan, width, oracle, domain, low, high, cap - len(found))
+            found += report[: cap - len(found)]
     finally:
         for pid, read in filter(None, copies):
-            import signal  # loaded only once a copy has been made
+            import signal  # loaded by _workers, before any copy was made
 
             os.kill(pid, signal.SIGKILL)  # a copy that has already exited is a zombie until reaped, so this finds it
             os.close(read)
@@ -604,8 +594,11 @@ def _mismatches(plan: _Plan, width: int, oracle, domain, first: int, stop: int, 
 
 
 def _workers() -> int:
-    """The usable CPUs where a fork is safe, on Linux in a process of one thread; else 1."""
-    if sys.platform == "linux":
+    """The usable CPUs where a fork is safe: on Linux, in a process of one thread, with SIGCHLD at its default; else 1."""
+    import signal  # loaded only on the fork path
+
+    # an ignored or handled SIGCHLD may reap a copy before it is killed, and its pid be reused
+    if sys.platform == "linux" and signal.getsignal(signal.SIGCHLD) is signal.SIG_DFL:
         try:
             if len(os.listdir("/proc/self/task")) == 1:  # a fork copies only the calling thread, whose peers may hold locks
                 return len(os.sched_getaffinity(0))
@@ -617,9 +610,11 @@ def _workers() -> int:
 def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> tuple[int, int] | None:
     """(pid, read end) of a forked copy that reports the first ``cap`` mismatches in ``first`` to ``stop`` - 1.
 
-    The copy writes them as plain tuples with ``marshal`` once its scan ends, if every
-    expected output is an int or a bool.  None where no pipe or no copy could be made.
+    The copy pickles the list that ``_mismatches`` returned once its scan ends.  None
+    where no pipe or no copy could be made.
     """
+    import pickle  # loaded only on the fork path, before the fork, so the copy has it
+
     try:
         read, write = os.pipe()
     except OSError:
@@ -634,11 +629,9 @@ def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: i
         status = 1
         try:
             os.close(read)
-            found = _mismatches(plan, width, oracle, domain, first, stop, cap)
-            # marshal refuses an int subclass, but writes any buffer (a numpy int, a bytearray) as bytes
-            if {*map(type, chain.from_iterable(map(itemgetter(1), found)))} <= {int, bool}:
-                with open(write, "wb") as report:
-                    report.write(marshal.dumps(list(map(tuple, found))))
+            report = pickle.dumps(_mismatches(plan, width, oracle, domain, first, stop, cap))
+            with open(write, "wb") as pipe:
+                pipe.write(report)
             status = 0
         finally:
             os._exit(status)
@@ -646,10 +639,12 @@ def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: i
     return pid, read
 
 
-def _read_report(read: int) -> list | None:
-    """A copy's counterexamples as plain tuples, read to the pipe's end; None if the report does not unmarshal."""
+def _read_report(read: int) -> list[Counterexample] | None:
+    """A copy's counterexamples, read to the pipe's end; None if the copy sent no whole report."""
+    import pickle  # loaded by _fork
+
     try:
         with open(read, "rb", closefd=False) as report:
-            return marshal.loads(report.read())
-    except (EOFError, ValueError):  # empty or cut short: the copy raised, died or sent nothing
+            return pickle.loads(report.read())
+    except (EOFError, pickle.UnpicklingError):  # empty or cut short: the copy raised, died or could not pickle
         return None

@@ -321,6 +321,88 @@ def test_check_adder_catches_mutation(tmp_path, capsys):
     assert "mismatch" in out and "FAIL" in out
 
 
+# check-adder's whole output on two mutants of bcd-chain 2: its constant d0_zero0 flipped, wrong from
+# pattern 0 on, and digit 1's only PG swapped for FRG, wrong first at pattern 16 691, past the 4096-pattern
+# prefix, so that the check forks on a host with more than one usable CPU
+BCD_CHAIN_2_MUTANTS = {
+    "d0_zero0": (
+        r"^const d0_zero0 0$",
+        "const d0_zero0 1",
+        """\
+mismatch inputs=00000000000000000 expected=000000000 actual=000000100
+mismatch inputs=00000000000000001 expected=000000010 actual=000000110
+mismatch inputs=00000000000000010 expected=000000010 actual=000000110
+mismatch inputs=00000000000000011 expected=000000100 actual=000000000
+mismatch inputs=00000000000000100 expected=000000100 actual=000001000
+mismatch inputs=00000000000000101 expected=000000110 actual=000001010
+mismatch inputs=00000000000000110 expected=000000110 actual=000001010
+mismatch inputs=00000000000000111 expected=000001000 actual=000000100
+mismatch inputs=00000000000001000 expected=000001000 actual=000001100
+mismatch inputs=00000000000001001 expected=000001010 actual=000001110
+mismatch inputs=00000000000001010 expected=000001010 actual=000001110
+mismatch inputs=00000000000001011 expected=000001100 actual=000001000
+mismatch inputs=00000000000001100 expected=000001100 actual=000010000
+mismatch inputs=00000000000001101 expected=000001110 actual=000010010
+mismatch inputs=00000000000001110 expected=000001110 actual=000010010
+mismatch inputs=00000000000001111 expected=000010000 actual=000001100
+FAIL at least 16 mismatches (list capped at 16)
+""",
+    ),
+    "frg": (
+        r"^gate PG d1_",
+        "gate FRG d1_",
+        """\
+mismatch inputs=00100000100110011 expected=001000001 actual=110000000
+mismatch inputs=00100001100110001 expected=001000001 actual=110000000
+mismatch inputs=00100001100110010 expected=001000001 actual=110000000
+mismatch inputs=00100001100110011 expected=001000011 actual=110000010
+mismatch inputs=00100010100101111 expected=001000001 actual=110000000
+mismatch inputs=00100010100110000 expected=001000001 actual=110000000
+mismatch inputs=00100010100110001 expected=001000011 actual=110000010
+mismatch inputs=00100010100110010 expected=001000011 actual=110000010
+mismatch inputs=00100010100110011 expected=001000101 actual=110000100
+mismatch inputs=00100011100101101 expected=001000001 actual=110000000
+mismatch inputs=00100011100101110 expected=001000001 actual=110000000
+mismatch inputs=00100011100101111 expected=001000011 actual=110000010
+mismatch inputs=00100011100110000 expected=001000011 actual=110000010
+mismatch inputs=00100011100110001 expected=001000101 actual=110000100
+mismatch inputs=00100011100110010 expected=001000101 actual=110000100
+mismatch inputs=00100011100110011 expected=001000111 actual=110000110
+FAIL at least 16 mismatches (list capped at 16)
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("pattern, replacement, expected", BCD_CHAIN_2_MUTANTS.values(), ids=BCD_CHAIN_2_MUTANTS)
+def test_check_adder_output_on_bcd_chain_2_mutants(pattern, replacement, expected, tmp_path, capsys, monkeypatch):
+    chain = tmp_path / "c.net"
+    main(["build", "bcd-chain", "2", "-o", str(chain)])
+    text, swaps = re.subn(pattern, replacement, chain.read_text(), flags=re.MULTILINE)
+    assert swaps == 1
+    mutant = tmp_path / "m.net"
+    mutant.write_text(text)
+    capsys.readouterr()
+    assert main(["check-adder", str(mutant), "--kind", "bcd-chain"]) == 1
+    assert capsys.readouterr().out == expected
+    # with one usable CPU nothing forks: the same output
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["check-adder", str(mutant), "--kind", "bcd-chain"]) == 1
+    assert capsys.readouterr().out == expected
+
+
+def test_check_adder_passes_with_sigchld_ignored(tmp_path):
+    # an ignored SIGCHLD survives exec: the command must not fork copies that the system reaps at once
+    chain = str(tmp_path / "c.net")
+    main(["build", "bcd-chain", "2", "-o", chain])
+    src = str(Path(revlogic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ignore_and_exec = "import os, signal, sys; signal.signal(signal.SIGCHLD, signal.SIG_IGN); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+    argv = [sys.executable, "-c", ignore_and_exec, "-m", "revlogic.cli", "check-adder", chain, "--kind", "bcd-chain"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
 def test_check_adder_kind_mismatch(tmp_path, capsys):
     # a bcd netlist has 9 inputs, so the ripple4 shape check passes but
     # the binary-addition oracle finds mismatches

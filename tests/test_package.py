@@ -170,6 +170,26 @@ def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
     assert not imported(proc.stderr) & {"dataclasses", "inspect", *ARGPARSE}
 
 
+# commands on bcd2, whose 2^9 patterns a check takes in one process
+UNFORKED = {
+    "validate": lambda path: ["validate", path],
+    "build": lambda path: ["build", "bcd2", "-o", path + ".out"],
+    "metrics": lambda path: ["metrics", path],
+    "sim": lambda path: ["sim", path, "--in", "011110001"],
+    "check-adder": lambda path: ["check-adder", path, "--kind", "bcd"],
+}
+
+
+@pytest.mark.parametrize("argv", UNFORKED.values(), ids=UNFORKED)
+def test_commands_that_fork_nothing_load_neither_pickle_nor_signal(tmp_path, argv):
+    # only a check that forks copies loads them: signal to probe SIGCHLD and kill, pickle for the reports
+    path = tmp_path / "bcd2.net"
+    path.write_text(serialize_netlist(build_bcd_adder("bcd2")))
+    proc, modules, _loaded = cli_loads(*argv(str(path)))
+    assert proc.returncode == 0, proc.stderr
+    assert not modules & {"pickle", "signal"}
+
+
 REPORT = MetricsReport(gate_count=1, gates={"FG": 1}, quantum_cost=1, garbage=0, constants=0, logical=LogicCost(1))
 LITERATURE = LiteratureRow(label="x", gate_count_expr="1 FG=1", garbage=2, logical=LogicCost(), quantum_cost=None)
 RECORDS = [

@@ -1243,7 +1243,7 @@ def test_a_report_larger_than_a_pipe_buffer_is_read_whole(forks, monkeypatch):
         return (1 - expected[0],) + expected[1:] if position >= 40_960 and position % 2 else expected
 
     expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=20_000)
-    # 12 288 marshalled counterexamples of 16 inputs and 10 outputs: about 2.3 MB, far more than a 64 KiB pipe buffer holds
+    # 12 288 pickled counterexamples of 16 inputs and 10 outputs: about 1.1 MB, far more than a 64 KiB pipe buffer holds
     assert len(expected) == 12_288
     calls.clear()
     assert check_equivalence(n, oracle, max_counterexamples=20_000) == expected
@@ -1284,28 +1284,68 @@ def test_each_pattern_is_checked_in_one_process(wide17, forks, monkeypatch, tmp_
 
 
 class Bit(int):
-    """An int that marshal refuses."""
+    """An int of a type of its own."""
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
 @pytest.mark.parametrize("output", [Bit, lambda bit: bytearray([bit])], ids=["int-subclass", "bytearray"])
-def test_an_output_that_marshal_refuses_or_changes_is_checked_in_the_calling_process(forks, monkeypatch, output):
+def test_a_copy_reports_outputs_of_any_type_as_they_are(forks, monkeypatch, output):
     n = build_bcd_chain(2)
     spec, domain = adder_oracle(2)
     usable_cpus(monkeypatch, 2)  # the calling process checks patterns 4096 to 69 631, its copy the rest
+    caller, calls = os.getpid(), []
 
     def oracle(bits):
+        position = bits_to_int(bits)
+        if os.getpid() == caller:
+            calls.append(position)
         expected = spec(bits)
-        # marshal refuses an int subclass, and would send a bytearray back as bytes
-        return (output(1 - expected[0]), *expected[1:]) if bits_to_int(bits) >= 70_000 else expected
+        # neither an int nor a bool: the copy's report must carry it as it is
+        return (output(1 - expected[0]), *expected[1:]) if position >= 70_000 else expected
 
     expected = sequential_check(monkeypatch, n, oracle, domain)
     assert bits_to_int(expected[0].inputs) == 70_144 and len(expected) == 16
+    calls.clear()
     found = check_equivalence(n, oracle, domain)
     assert found == expected
     assert len(forks) == 1
     assert_no_children()
     assert all(type(ce.expected[0]) is type(output(0)) for ce in found)
+    # the copy reported its range: this process checked none of it
+    assert max(calls) < 69_632
+
+
+# a check of bcd-chain 2 at two usable CPUs under the SIGCHLD disposition that argv[1] names; prints
+# the result and the number of copies made
+SIGCHLD_CHECK = """
+import os, signal, sys
+from revlogic import adder_oracle, build_bcd_chain, check_equivalence
+if sys.argv[1] == "ignored":
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+elif sys.argv[1] == "reaping-handler":
+    signal.signal(signal.SIGCHLD, lambda signum, frame: os.waitpid(-1, os.WNOHANG))
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+def counted():
+    forks.append(None)
+    return fork()
+os.fork = counted
+print(check_equivalence(build_bcd_chain(2), *adder_oracle(2)), len(forks))
+"""
+
+
+@pytest.mark.parametrize(
+    "disposition, copies", [("default", 1 if sys.platform == "linux" else 0), ("ignored", 0), ("reaping-handler", 0)]
+)
+def test_a_check_forks_only_while_sigchld_is_at_its_default(disposition, copies):
+    # an ignored or handled SIGCHLD lets the system reap a copy before the check kills and reaps it;
+    # in a child process, so that this one's disposition is untouched
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", SIGCHLD_CHECK, disposition]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[] {copies}\n"
 
 
 @pytest.mark.skipif(not FORKING, reason="forks only on Linux with more than one usable CPU")
