@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports
 _EXPORTS = {
-    "builders": ("adder_oracle", "build_bcd_adder", "build_bcd_chain", "build_ripple_adder"),
+    "builders": ("adder_spec", "build_bcd_adder", "build_bcd_chain", "build_ripple_adder"),
     "gates": (
         "BUILTIN_GATES",
         "GateArityError",

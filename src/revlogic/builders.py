@@ -14,15 +14,16 @@ Every bus is declared in one layout (``_layout``): most significant
 digit first, each digit most significant bit first (a3 a2 a1 a0), A
 before B; the carry line comes last on both sides.  Wiring and wire
 names are deterministic, so repeated builds serialize byte-identically.
-``adder_oracle`` decodes the same layout into the expected sums, for
-``check_equivalence``.
+``adder_spec`` computes the expected sums in the same layout from the
+input bits, with ``^`` and ``&`` only, so ``check_equivalence`` runs it
+on whole columns of patterns.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
-from .gates import bits_to_int, builtin, int_to_bits
+from .gates import builtin
 from .netlist import GateInstance, Netlist
 
 
@@ -234,39 +235,53 @@ def build_bcd_chain(n: int) -> Netlist:
     return nb.build()
 
 
-def adder_oracle(
-    digits: int, radix: int = 10, carry_in: bool = True
-) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], Callable[[tuple[int, ...]], bool] | None]:
-    """Oracle and domain for a ``digits``-digit adder in the layout built here.
+def adder_spec(digits: int, radix: int = 10, carry_in: bool = True) -> Callable[[Sequence, object], tuple[list, object]]:
+    """The expected outputs and domain of a ``digits``-digit adder in the layout built here, over any Boolean ring.
 
-    An input pattern holds operand A then operand B, each as ``digits``
-    4-bit digits (most significant digit first, each digit MSB first),
-    then the carry in when ``carry_in`` is true; without it the carry in
-    is 0.  The oracle returns the sum digits (A + B + cin) mod
-    radix^digits in the same layout, then the carry out.  ``radix=16``
-    is binary addition (``adder_oracle(1, radix=16)`` checks
-    ``build_ripple_adder``) and every pattern is in its domain, so the
-    domain is None; otherwise the domain admits only patterns whose
-    digits are all below ``radix`` (0..9 for the BCD adders).
+    ``spec(inputs, one)`` takes one value per primary input: operand A
+    then operand B, each as ``digits`` 4-bit digits (most significant
+    digit first, each digit MSB first), then the carry in when
+    ``carry_in`` is true; without it the carry in is 0.  It returns the
+    sum digits (A + B + cin) mod radix^digits in the same layout, then
+    the carry out, and the domain.  It uses only ``^``, ``&`` and
+    ``one``, so on 0/1 ints with ``one = 1`` it answers one pattern, and
+    on int columns with the all-ones column as ``one`` every pattern of a
+    block at once.  ``radix=16`` is binary addition (``adder_spec(1,
+    radix=16)`` checks ``build_ripple_adder``) and every pattern is in
+    its domain, so the domain is None; at ``radix=10`` it is 1 where
+    every operand digit is 0..9.
     """
     if type(digits) is not int or digits < 1:
         raise ValueError(f"digit count must be >= 1, got {digits}")
-    if type(radix) is not int or not 2 <= radix <= 16:
-        raise ValueError(f"radix must be 2..16 to fit a 4-bit digit, got {radix}")
-    width = 8 * digits
-    places = [radix ** (digits - 1 - j) for j in range(digits)]
+    if type(radix) is not int or radix not in (10, 16):
+        raise ValueError(f"radix must be 10 or 16, got {radix}")
 
-    def oracle(bits: tuple[int, ...]) -> tuple[int, ...]:
-        total = bits[width] if carry_in else 0
-        for i in range(0, width, 4):
-            total += bits_to_int(bits[i : i + 4]) * places[i // 4 % digits]
-        out: list[int] = []
-        for place in places:
-            out += int_to_bits(total // place % radix, 4)
-        out.append(total // radix**digits)
-        return tuple(out)
+    def spec(inputs: Sequence, one) -> tuple[list, object]:
+        carry = inputs[8 * digits] if carry_in else one ^ one
+        sums = []
+        for j in reversed(range(digits)):  # the least significant digit first
+            t = []  # the 4-bit ripple add of the two operand digits and the carry, LSB first
+            for x, y in zip(inputs[4 * j : 4 * j + 4][::-1], inputs[4 * (digits + j) : 4 * (digits + j) + 4][::-1]):
+                half = x ^ y
+                t.append(half ^ carry)
+                carry = x & y ^ half & carry  # the two terms are never both 1
+            if radix == 10:
+                either = _or(t[2], t[1])
+                carry = _or(carry, t[3] & either)  # the digit sum is 10 or more: add 6 mod 16
+                t = [t[0], t[1] ^ carry, t[2] ^ carry ^ t[1] & carry, t[3] ^ carry & either]
+            sums.append(t)
+        outputs = [bit for t in reversed(sums) for bit in reversed(t)]
+        outputs.append(carry)
+        if radix == 16:
+            return outputs, None
+        domain = one
+        for d in range(0, 8 * digits, 4):  # no operand digit above 9: not d3(d2 or d1)
+            domain &= one ^ inputs[d] & _or(inputs[d + 1], inputs[d + 2])
+        return outputs, domain
 
-    def domain(bits: tuple[int, ...]) -> bool:
-        return all(bits_to_int(bits[i : i + 4]) < radix for i in range(0, width, 4))
+    return spec
 
-    return oracle, None if radix == 16 else domain
+
+def _or(x, y):
+    """x or y, from ``^`` and ``&`` only."""
+    return x ^ y ^ x & y

@@ -177,7 +177,7 @@ def _cmd_build(args: SimpleNamespace) -> int:
 
 
 def _cmd_check_adder(args: SimpleNamespace) -> int:
-    from .builders import adder_oracle
+    from .builders import adder_spec
     from .simulate import DEFAULT_COUNTEREXAMPLE_LIMIT, TruthTableLimitError, check_equivalence
 
     if args.kind != "bcd-chain" and args.digits is not None:
@@ -187,7 +187,7 @@ def _cmd_check_adder(args: SimpleNamespace) -> int:
     limit = _max_inputs(args)
     netlist = _load(args.file)
     n_inputs = len(netlist.primary_inputs)
-    # every kind is adder_oracle's layout: 8 inputs a digit, then the carry in if there is one
+    # every kind is adder_spec's layout: 8 inputs a digit, then the carry in if there is one
     digits, carry = divmod(n_inputs, 8)
     if args.kind == "ripple4":
         if n_inputs != 9:
@@ -199,9 +199,9 @@ def _cmd_check_adder(args: SimpleNamespace) -> int:
         # an inferred count is no count the user asked for: name the layout instead
         layout = f"a {args.digits}-digit chain" if args.digits is not None else "a chain's 8N+1 layout (N >= 1)"
         raise _UsageError(f"{n_inputs} primary inputs do not match {layout}")
-    oracle, domain = adder_oracle(digits, radix=16 if args.kind == "ripple4" else 10, carry_in=carry == 1)
+    spec = adder_spec(digits, radix=16 if args.kind == "ripple4" else 10, carry_in=carry == 1)
     try:
-        mismatches = check_equivalence(netlist, oracle, domain, limit=limit)
+        mismatches = check_equivalence(netlist, spec=spec, limit=limit)
     except TruthTableLimitError as exc:
         raise _UsageError(str(exc)) from None
     if mismatches:
@@ -446,6 +446,7 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace:
                     _fail(name, f"argument {what}: ignored explicit argument {value!r}")
                 if option is _HELP_OPTION:
                     print(_help(name))
+                    sys.stdout.flush()  # a reader that closed early shows here, where main catches it
                     raise SystemExit(EXIT_OK)
                 value = True
             else:
@@ -474,8 +475,8 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _read_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = _read_args(sys.argv[1:] if argv is None else argv)  # help is printed here
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed early shows here, not in the interpreter's exit flush
         return code

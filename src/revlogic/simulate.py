@@ -56,18 +56,19 @@ a block's output columns become one little-endian 16-bit code per
 pattern, and one C call gathers the block's output tuples from a flat
 cached table of every output tuple at its code.
 
-``check_equivalence`` checks the patterns below 4096 first; a broken
-adder usually shows its first mismatches there.  Past them, where at
-least 2^15 patterns remain, it may split the rest across forked copies
-of the calling process, as its docstring sets out.  Its result, and any
-exception, are those of one in-order pass, provided ``oracle`` and
-``domain`` are pure.
+``check_equivalence`` walks the same blocks once, in order, in the
+calling process, and stops at its cap; a broken adder usually shows its
+first mismatches in the small first blocks.  Against an oracle it
+compares each in-domain pattern's output row with the oracle's tuple.
+Against a spec it computes the expected output columns and a domain
+column from the block's input columns, through the same ``^``, ``&``
+and ``one`` as ``_evaluate``, and forms a miter column: the OR of each
+expected column XOR the circuit's, ANDed with the domain.  Its set bits,
+lowest first, are the block's counterexamples.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, product, repeat
@@ -392,8 +393,9 @@ class TruthTable(Sequence):
     holding equal rows, and, like a list, is unhashable.  Past 63
     inputs, ``len`` raises ``OverflowError``, as ``len(range(2**63))``
     does, while an index, a slice, iteration, ``reversed``, ``index``
-    and equality still work.  It pickles as its netlist.  Tables are
-    built by ``truth_table``.
+    and equality still work.  Its ``__reduce__`` gives only its
+    netlist, so a serialized table holds no rows.  Tables are built by
+    ``truth_table``.
     """
 
     __slots__ = ("_netlist",)
@@ -501,88 +503,54 @@ def truth_table(netlist: Netlist, limit: int = DEFAULT_INPUT_LIMIT) -> TruthTabl
     return TruthTable(netlist)
 
 
-_PREFIX = 1 << 12  # the blocks below this pattern are checked in the calling process first
-_FORK_MIN = 1 << 15  # the fewest patterns past the prefix that pay for a fork: fork and reap cost 2-3 ms
-
-
 def check_equivalence(
     netlist: Netlist,
-    oracle: Callable[[tuple[int, ...]], Sequence[int]],
+    oracle: Callable[[tuple[int, ...]], Sequence[int]] | None = None,
     domain: Callable[[tuple[int, ...]], bool] | None = None,
     limit: int = DEFAULT_INPUT_LIMIT,
     max_counterexamples: int = DEFAULT_COUNTEREXAMPLE_LIMIT,
+    *,
+    spec: Callable[[list[int], int], tuple[Sequence[int], int | None]] | None = None,
 ) -> list[Counterexample]:
-    """Compare primary outputs against an oracle on every in-domain pattern.
+    """Compare primary outputs against a reference on every in-domain pattern.
 
-    Returns up to ``max_counterexamples`` mismatches, the lowest
-    patterns first; an empty list means the circuit agrees with the
-    oracle everywhere in the domain.  Raises ValueError when
+    The reference is either ``oracle``, called on each pattern's input
+    tuple and filtered by ``domain`` when one is given, or ``spec``:
+    ``spec(inputs, one)`` returns the expected output columns and a
+    domain column (None for every pattern) from the input columns, over
+    ``^``, ``&`` and ``one`` only, as ``builders.adder_spec`` does.  A
+    spec runs once per block of patterns, on the same int columns as the
+    circuit.  Returns up to ``max_counterexamples`` mismatches, the
+    lowest patterns first; an empty list means the circuit agrees with
+    the reference everywhere in the domain.  Either way the result, and
+    any exception, are those of one in-order pass in this process.
+    Raises ValueError unless exactly one of ``oracle`` and ``spec`` is
+    given, when ``domain`` comes with a spec, when
     ``max_counterexamples`` or ``limit`` is not an int, or when
     ``max_counterexamples`` is below 1.
-
-    The patterns below 4096 are checked first, in this process.  The
-    rest are split into contiguous ranges of whole 4096-pattern blocks,
-    one per worker, and taken in order until the cap is met.  There is
-    one worker, and so one range, unless at least 2^15 patterns remain,
-    the host is Linux, this process has one thread and leaves SIGCHLD at
-    its default; then there is one per usable CPU.  This process checks
-    the lowest range, and an ``os.fork``ed copy each of the others.  A
-    copy checks its range, stopping at the cap, then sends the list of
-    counterexamples it found through a pipe with ``pickle``, and this
-    process appends it as it is: each pattern is checked in one process.
-    A copy that was not made, or that sent no whole report (it could not
-    pickle its list, raised or died), counts as no copy: this process
-    checks that range, and only that range, itself.  Every copy is killed
-    and reaped before the call returns or raises.  The result, and any
-    exception, are those of one in-order pass, provided ``oracle`` and
-    ``domain`` are pure: above the threshold they may run in forked
-    copies, each process calling them in ascending order over its own
-    range.
     """
+    if (oracle is None) == (spec is None):
+        raise ValueError("give exactly one of oracle and spec")
+    if spec is not None and domain is not None:
+        raise ValueError("a spec returns its own domain: give no domain with it")
     if type(max_counterexamples) is not int:  # True is not 1, and 2.5 is no cap
         raise ValueError(f"max_counterexamples must be an int, got {max_counterexamples!r}")
     if max_counterexamples < 1:
         raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
-    plan, cap = netlist._plan, max_counterexamples
+    plan = netlist._plan
     width = _check_width(netlist, limit)
-    total = 1 << width
-    found = _mismatches(plan, width, oracle, domain, 0, min(total, _PREFIX), cap)
-    if len(found) >= cap or total <= _PREFIX:  # a broken adder usually fails fast: nothing past the prefix is set up
-        return found
-    workers = _workers() if total - _PREFIX >= _FORK_MIN else 1
-    share = -(-(total - _PREFIX) // _BLOCK // workers) * _BLOCK  # whole blocks, the lowest range the largest
-    edges = [*range(_PREFIX, total, share), total]
-    copies: list[tuple[int, int] | None] = [None]  # per range, (pid, read end of its report pipe) or None
-    try:
-        for low, high in zip(edges[1:], edges[2:]):  # a copy reports at most the cap less the prefix's mismatches
-            copies.append(_fork(plan, width, oracle, domain, low, high, cap - len(found)))
-        for copy, low, high in zip(copies, edges, edges[1:]):
-            if len(found) >= cap:
-                break
-            report = _read_report(copy[1]) if copy else None
-            if report is None:  # no copy, or no whole report: this process checks the range
-                report = _mismatches(plan, width, oracle, domain, low, high, cap - len(found))
-            found += report[: cap - len(found)]
-    finally:
-        for pid, read in filter(None, copies):
-            import signal  # loaded by _workers, before any copy was made
-
-            os.kill(pid, signal.SIGKILL)  # a copy that has already exited is a zombie until reaped, so this finds it
-            os.close(read)
-            os.waitpid(pid, 0)
-    return found
+    if spec is not None:
+        return _spec_mismatches(plan, width, spec, max_counterexamples)
+    return _mismatches(plan, width, oracle, domain, max_counterexamples)
 
 
-def _mismatches(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> list[Counterexample]:
-    """The first ``cap`` mismatches in patterns ``first`` to ``stop`` - 1; both are edges of blocks."""
-    # from pattern 0 on, the inputs are every pattern in order: one product, cheaper to make than a block's
-    every = None if first else product((0, 1), repeat=width)
+def _mismatches(plan: _Plan, width: int, oracle, domain, cap: int) -> list[Counterexample]:
+    """The first ``cap`` patterns whose outputs differ from the oracle's, where ``domain`` admits them."""
     found: list[Counterexample] = []
-    for start, size, values in _block_columns(plan, width, first):
-        if start >= stop:
-            break
-        inputs = islice(every, size) if every else _block_inputs(width, start, size)
-        for bits, actual in zip(inputs, _bit_rows(values, plan.po_slots, size)):
+    # the inputs are every pattern in order: one product, cheaper to make than a block's
+    every = product((0, 1), repeat=width)
+    for _start, size, values in _block_columns(plan, width):
+        for bits, actual in zip(islice(every, size), _bit_rows(values, plan.po_slots, size)):
             if domain is not None and not domain(bits):
                 continue
             expected = tuple(oracle(bits))
@@ -593,58 +561,28 @@ def _mismatches(plan: _Plan, width: int, oracle, domain, first: int, stop: int, 
     return found
 
 
-def _workers() -> int:
-    """The usable CPUs where a fork is safe: on Linux, in a process of one thread, with SIGCHLD at its default; else 1."""
-    import signal  # loaded only on the fork path
-
-    # an ignored or handled SIGCHLD may reap a copy before it is killed, and its pid be reused
-    if sys.platform == "linux" and signal.getsignal(signal.SIGCHLD) is signal.SIG_DFL:
-        try:
-            if len(os.listdir("/proc/self/task")) == 1:  # a fork copies only the calling thread, whose peers may hold locks
-                return len(os.sched_getaffinity(0))
-        except OSError:
-            pass
-    return 1
-
-
-def _fork(plan: _Plan, width: int, oracle, domain, first: int, stop: int, cap: int) -> tuple[int, int] | None:
-    """(pid, read end) of a forked copy that reports the first ``cap`` mismatches in ``first`` to ``stop`` - 1.
-
-    The copy pickles the list that ``_mismatches`` returned once its scan ends.  None
-    where no pipe or no copy could be made.
-    """
-    import pickle  # loaded only on the fork path, before the fork, so the copy has it
-
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:  # the copy: report, then leave at once, running no handler of this process
-        status = 1
-        try:
-            os.close(read)
-            report = pickle.dumps(_mismatches(plan, width, oracle, domain, first, stop, cap))
-            with open(write, "wb") as pipe:
-                pipe.write(report)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)  # the copy's end is then the only one, so its exit reads as the pipe's end
-    return pid, read
+def _spec_mismatches(plan: _Plan, width: int, spec, cap: int) -> list[Counterexample]:
+    """The first ``cap`` patterns whose outputs differ from the spec's, read from each block's miter column."""
+    found: list[Counterexample] = []
+    for _start, size, values in _block_columns(plan, width):
+        inputs, ones = values[:width], (1 << size) - 1
+        expected, domain = spec(inputs, ones)
+        actual = list(map(values.__getitem__, plan.po_slots))
+        # bit j is set where pattern start + j differs in some output; every bit, where the spec gives another number
+        miter = 0 if len(expected) == len(actual) else ones
+        for want, got in zip(expected, actual):
+            miter |= want ^ got
+        if domain is not None:
+            miter &= domain
+        while miter:
+            j = (miter & -miter).bit_length() - 1
+            found.append(Counterexample(_bits_at(inputs, j), _bits_at(expected, j), _bits_at(actual, j)))
+            if len(found) >= cap:
+                return found
+            miter &= miter - 1
+    return found
 
 
-def _read_report(read: int) -> list[Counterexample] | None:
-    """A copy's counterexamples, read to the pipe's end; None if the copy sent no whole report."""
-    import pickle  # loaded by _fork
-
-    try:
-        with open(read, "rb", closefd=False) as report:
-            return pickle.loads(report.read())
-    except (EOFError, pickle.UnpicklingError):  # empty or cut short: the copy raised, died or could not pickle
-        return None
+def _bits_at(columns: Sequence[int], j: int) -> tuple[int, ...]:
+    """Bit ``j`` of each column: one pattern's values."""
+    return tuple(column >> j & 1 for column in columns)

@@ -2,13 +2,15 @@
 
 The oracles here are deliberately independent of the simulator: they
 work on plain integers and only use the library's bit-order helpers to
-translate to and from wire patterns.
+translate to and from wire patterns.  ``adder_oracle`` is the
+per-pattern reference that ``builders.adder_spec`` is tested against.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+from typing import Callable
 
 from revlogic import GateDefinition, GateInstance, LogicCost, Netlist, bits_to_int, builtin, int_to_bits
 from revlogic.cli import (
@@ -38,6 +40,44 @@ def bcd_digit_oracle(bits):
 
 def bcd_digit_domain(bits):
     return bits_to_int(bits[0:4]) <= 9 and bits_to_int(bits[4:8]) <= 9
+
+
+def adder_oracle(
+    digits: int, radix: int = 10, carry_in: bool = True
+) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], Callable[[tuple[int, ...]], bool] | None]:
+    """Oracle and domain for a ``digits``-digit adder in the bus layout of ``revlogic.builders``.
+
+    An input pattern holds operand A then operand B, each as ``digits``
+    4-bit digits (most significant digit first, each digit MSB first),
+    then the carry in when ``carry_in`` is true; without it the carry in
+    is 0.  The oracle returns the sum digits (A + B + cin) mod
+    radix^digits in the same layout, then the carry out.  ``radix=16``
+    is binary addition (``adder_oracle(1, radix=16)`` checks
+    ``build_ripple_adder``) and every pattern is in its domain, so the
+    domain is None; otherwise the domain admits only patterns whose
+    digits are all below ``radix`` (0..9 for the BCD adders).
+    """
+    if type(digits) is not int or digits < 1:
+        raise ValueError(f"digit count must be >= 1, got {digits}")
+    if type(radix) is not int or not 2 <= radix <= 16:
+        raise ValueError(f"radix must be 2..16 to fit a 4-bit digit, got {radix}")
+    width = 8 * digits
+    places = [radix ** (digits - 1 - j) for j in range(digits)]
+
+    def oracle(bits: tuple[int, ...]) -> tuple[int, ...]:
+        total = bits[width] if carry_in else 0
+        for i in range(0, width, 4):
+            total += bits_to_int(bits[i : i + 4]) * places[i // 4 % digits]
+        out: list[int] = []
+        for place in places:
+            out += int_to_bits(total // place % radix, 4)
+        out.append(total // radix**digits)
+        return tuple(out)
+
+    def domain(bits: tuple[int, ...]) -> bool:
+        return all(bits_to_int(bits[i : i + 4]) < radix for i in range(0, width, 4))
+
+    return oracle, None if radix == 16 else domain
 
 
 def encode_bcd_operands(a: int, b: int, cin: int, digits: int = 1) -> list[int]:

@@ -7,7 +7,7 @@ import pytest
 
 from revlogic import (
     LogicCost,
-    adder_oracle,
+    adder_spec,
     analyze,
     build_bcd_adder,
     build_bcd_chain,
@@ -21,6 +21,7 @@ from revlogic import (
     validate,
 )
 from helpers import (
+    adder_oracle,
     bcd_digit_domain,
     bcd_digit_oracle,
     binary_adder_oracle,
@@ -196,10 +197,43 @@ def test_adder_oracle_decimal_sums(digits):
     rng = random.Random(digits)
     cases = [(a, b, cin) for a in (0, top) for b in (0, top) for cin in (0, 1)]
     cases += [(rng.randrange(top + 1), rng.randrange(top + 1), rng.randint(0, 1)) for _ in range(200)]
+    spec = adder_spec(digits)
     for a, b, cin in cases:
         bits = tuple(encode_bcd_operands(a, b, cin, digits))
         assert domain(bits)
         assert decode_bcd_result(oracle(bits), digits) == divmod(a + b + cin, 10**digits)[::-1]
+        outputs, in_domain = spec(bits, 1)
+        assert in_domain == 1 and tuple(outputs) == oracle(bits)
+
+
+def columns_of(patterns):
+    """One int column per position: bit p holds the 0/1 value at that position in ``patterns[p]``."""
+    return [int(bytes(column[::-1]).translate(ASCII_BITS), 2) for column in zip(*patterns)]
+
+
+ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@pytest.mark.parametrize("carry_in", [True, False], ids=["cin", "no-cin"])
+@pytest.mark.parametrize("radix", [10, 16])
+@pytest.mark.parametrize("digits", [1, 2])
+def test_adder_spec_matches_adder_oracle_on_every_pattern(digits, radix, carry_in):
+    spec = adder_spec(digits, radix, carry_in)
+    oracle, domain = adder_oracle(digits, radix, carry_in)
+    patterns = list(itertools.product((0, 1), repeat=8 * digits + carry_in))
+    admitted = [1 if domain is None else int(domain(bits)) for bits in patterns]
+    # outside the domain the oracle's carry can exceed 1; nothing is expected there
+    expected = [oracle(bits) if inside else (0,) * (4 * digits + 1) for bits, inside in zip(patterns, admitted)]
+    # on 0/1 ints, one pattern at a time
+    for bits, want, inside in zip(patterns, expected, admitted):
+        outputs, in_domain = spec(bits, 1)
+        assert in_domain == (None if domain is None else inside), bits
+        assert not inside or tuple(outputs) == want, bits
+    # on int columns, every pattern at once: bit p of each column is pattern p
+    outputs, in_domain = spec(columns_of(patterns), (1 << len(patterns)) - 1)
+    mask = columns_of([(inside,) for inside in admitted])[0]
+    assert in_domain == (None if domain is None else mask)
+    assert [column & mask for column in outputs] == [column & mask for column in columns_of(expected)]
 
 
 def test_adder_oracle_rejects_bad_arguments():
@@ -211,11 +245,15 @@ def test_adder_oracle_rejects_bad_arguments():
     for radix in (10.0, "10", True, None):
         with pytest.raises(ValueError, match="radix must be 2..16"):
             adder_oracle(1, radix=radix)
+    # the spec's +6 correction is decimal: it takes radix 10 and 16 only
+    for radix in (2, 9, 12, 17, 10.0, "10", True, None):
+        with pytest.raises(ValueError, match="^radix must be 10 or 16, got "):
+            adder_spec(1, radix=radix)
 
 
 @pytest.mark.parametrize("digits", [0, -1, True, False, 2.0, "2", None])
 def test_a_digit_count_is_a_positive_int(digits):
     # True is not 1, as for a bit: only an int counts digits, with the message a count of 0 gets
-    for make in (build_bcd_chain, adder_oracle):
+    for make in (build_bcd_chain, adder_oracle, adder_spec):
         with pytest.raises(ValueError, match=f"^digit count must be >= 1, got {digits}$"):
             make(digits)

@@ -244,6 +244,20 @@ def test_sim_closed_pipe_exits_141_quietly(netfile):
     assert err == b""
 
 
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_into_a_closed_pipe_exits_141_quietly(command):
+    src = str(Path(revlogic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "revlogic.cli", *([command] if command else []), "--help"]
+    read, write = os.pipe()
+    os.close(read)  # the reader has left before the help is written
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_sim_max_inputs_refusal(netfile, capsys):
     assert main(["sim", netfile(wide_text(21)), "--exhaustive"]) == 2
     captured = capsys.readouterr()

@@ -26,6 +26,7 @@ from revlogic import (
     TraceResult,
     Violation,
     build_bcd_adder,
+    build_bcd_chain,
     build_ripple_adder,
     builtin,
     run,
@@ -170,22 +171,23 @@ def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
     assert not imported(proc.stderr) & {"dataclasses", "inspect", *ARGPARSE}
 
 
-# commands on bcd2, whose 2^9 patterns a check takes in one process
+# commands on bcd2 and on bcd-chain 2, whose 2^17 patterns a check takes in one process too
 UNFORKED = {
-    "validate": lambda path: ["validate", path],
-    "build": lambda path: ["build", "bcd2", "-o", path + ".out"],
-    "metrics": lambda path: ["metrics", path],
-    "sim": lambda path: ["sim", path, "--in", "011110001"],
-    "check-adder": lambda path: ["check-adder", path, "--kind", "bcd"],
+    "validate": lambda folder: ["validate", f"{folder}/bcd2.net"],
+    "build": lambda folder: ["build", "bcd2", "-o", f"{folder}/bcd2.net.out"],
+    "metrics": lambda folder: ["metrics", f"{folder}/bcd2.net"],
+    "sim": lambda folder: ["sim", f"{folder}/bcd2.net", "--in", "011110001"],
+    "check-adder": lambda folder: ["check-adder", f"{folder}/bcd2.net", "--kind", "bcd"],
+    "check-adder-bcd-chain-2": lambda folder: ["check-adder", f"{folder}/chain2.net", "--kind", "bcd-chain"],
 }
 
 
 @pytest.mark.parametrize("argv", UNFORKED.values(), ids=UNFORKED)
 def test_commands_that_fork_nothing_load_neither_pickle_nor_signal(tmp_path, argv):
-    # only a check that forks copies loads them: signal to probe SIGCHLD and kill, pickle for the reports
-    path = tmp_path / "bcd2.net"
-    path.write_text(serialize_netlist(build_bcd_adder("bcd2")))
-    proc, modules, _loaded = cli_loads(*argv(str(path)))
+    # no command forks: none needs signal to probe SIGCHLD and kill, nor pickle to send a report
+    (tmp_path / "bcd2.net").write_text(serialize_netlist(build_bcd_adder("bcd2")))
+    (tmp_path / "chain2.net").write_text(serialize_netlist(build_bcd_chain(2)))
+    proc, modules, _loaded = cli_loads(*argv(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert not modules & {"pickle", "signal"}
 

@@ -29,7 +29,7 @@ from revlogic import (
     TruthTable,
     TruthTableLimitError,
     TruthTableRow,
-    adder_oracle,
+    adder_spec,
     analyze,
     bits_to_int,
     build_bcd_adder,
@@ -49,6 +49,7 @@ from revlogic import (
 from revlogic import simulate
 from helpers import (
     GATE_POOL,
+    adder_oracle,
     bcd_digit_domain,
     bcd_digit_oracle,
     binary_adder_oracle,
@@ -257,21 +258,68 @@ def test_check_equivalence_counterexample_cap():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="max_counterexamples"):
             check_equivalence(n9, always_wrong, max_counterexamples=cap)
+    # the spec that is wrong in every output on every pattern: the same caps, the same counterexamples
+    binary = adder_spec(1, radix=16)
+    always_wrong_spec = lambda inputs, one: ([column ^ one for column in binary(inputs, one)[0]], None)
+    assert check_equivalence(n9, spec=always_wrong_spec) == check_equivalence(n9, always_wrong)
+    assert len(check_equivalence(n9, spec=always_wrong_spec, max_counterexamples=1)) == 1
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_counterexamples"):
+            check_equivalence(n9, spec=always_wrong_spec, max_counterexamples=cap)
 
 
 def test_a_cap_or_limit_that_is_not_an_int_is_refused():
     n = build_bcd_adder("bcd2")
     wrong = lambda bits: (0,) * 5
-    assert len(check_equivalence(n, wrong, max_counterexamples=3)) == 3
-    # 2.5 used to be read as a cap of 3, and True as 1; the others failed in a comparison with a bare TypeError
-    for cap in (2.5, 3.0, "3", None, True):
-        with pytest.raises(ValueError, match=r"^max_counterexamples must be an int, got "):
-            check_equivalence(n, wrong, max_counterexamples=cap)
-    for limit in (None, "20", 20.0, True):
-        with pytest.raises(ValueError, match=r"^limit must be an int, got "):
-            check_equivalence(n, wrong, limit=limit)
-        with pytest.raises(ValueError, match=r"^limit must be an int, got "):
-            truth_table(n, limit=limit)
+    wrong_spec = lambda inputs, one: ([one ^ one] * 5, None)
+    for reference in ({"oracle": wrong}, {"spec": wrong_spec}):
+        assert len(check_equivalence(n, **reference, max_counterexamples=3)) == 3
+        # 2.5 used to be read as a cap of 3, and True as 1; the others failed in a comparison with a bare TypeError
+        for cap in (2.5, 3.0, "3", None, True):
+            with pytest.raises(ValueError, match=r"^max_counterexamples must be an int, got "):
+                check_equivalence(n, **reference, max_counterexamples=cap)
+        for limit in (None, "20", 20.0, True):
+            with pytest.raises(ValueError, match=r"^limit must be an int, got "):
+                check_equivalence(n, **reference, limit=limit)
+            with pytest.raises(ValueError, match=r"^limit must be an int, got "):
+                truth_table(n, limit=limit)
+        with pytest.raises(TruthTableLimitError):
+            check_equivalence(n, **reference, limit=8)
+
+
+def test_a_check_takes_exactly_one_of_an_oracle_and_a_spec():
+    n = build_bcd_adder("bcd2")
+    oracle, domain = adder_oracle(1)
+    spec = adder_spec(1)
+    assert check_equivalence(n, oracle, domain) == check_equivalence(n, spec=spec) == []
+    for call in (
+        lambda: check_equivalence(n),
+        lambda: check_equivalence(n, domain=domain),
+        lambda: check_equivalence(n, oracle, spec=spec),
+        lambda: check_equivalence(n, oracle, domain, spec=spec),
+    ):
+        with pytest.raises(ValueError, match="^give exactly one of oracle and spec$"):
+            call()
+    # the spec gives its own domain column
+    with pytest.raises(ValueError, match="^a spec returns its own domain: give no domain with it$"):
+        check_equivalence(n, domain=domain, spec=spec)
+
+
+def test_a_spec_of_another_output_count_fails_every_in_domain_pattern():
+    # as an oracle's tuple of another length differs from every output row
+    n = build_bcd_adder("bcd2")
+    spec = adder_spec(1)
+
+    def short_spec(inputs, one):
+        outputs, domain = spec(inputs, one)
+        return outputs[:4], domain
+
+    short_oracle = lambda bits: tuple(spec(bits, 1)[0][:4])
+    domain = lambda bits: spec(bits, 1)[1] == 1
+    for cap in (1, 16, 1000):
+        found = check_equivalence(n, spec=short_spec, max_counterexamples=cap)
+        assert found == check_equivalence(n, short_oracle, domain, max_counterexamples=cap)
+        assert len(found) == min(cap, 200)  # 10 * 10 digit pairs, each with both carries in
 
 
 def test_int_bit_helpers():
@@ -1012,36 +1060,10 @@ def test_check_equivalence_matches_a_scalar_loop_across_blocks():
         assert len(seen) == last + 1
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids that ``os.fork`` returns to this process while the test runs."""
-    made, real = [], os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return made
-
-
-def sequential_check(monkeypatch, *args, **kwargs):
-    """``check_equivalence`` with one usable CPU, so that it forks nothing."""
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        return check_equivalence(*args, **kwargs)
-
-
 def assert_no_children():
-    # every forked copy has been reaped: there is no child left to wait for
+    # the check ran in this process: there is no child to wait for
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-FORKING = sys.platform == "linux" and WORKERS > 1
 
 
 @pytest.fixture(scope="module")
@@ -1052,18 +1074,16 @@ def wide17():
 
 
 def usable_cpus(monkeypatch, cpus):
-    """Make ``cpus`` CPUs usable, as ``check_equivalence`` counts them; None leaves the host's count."""
+    """Report ``cpus`` usable CPUs to anything that asks; None leaves the host's count.  No result may depend on it."""
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    return WORKERS if cpus is None else cpus
 
 
-# from 65 000, two CPUs leave the calling process two of the mismatches and its copy the rest; from
-# 70 000, five CPUs fork four copies, more than there are cores, and the mismatches start in the second
+# from 65 000 and from 70 000 the mismatches start past the first blocks, with two and five CPUs reported usable
 @pytest.mark.parametrize("wrong_from, cpus", [(0, None), (65_000, 2), (70_000, 5)])
-def test_forked_check_matches_a_scalar_loop(wide17, forks, monkeypatch, wrong_from, cpus):
+def test_forked_check_matches_a_scalar_loop(wide17, monkeypatch, wrong_from, cpus):
     n, outputs = wide17
-    workers = usable_cpus(monkeypatch, cpus)
+    usable_cpus(monkeypatch, cpus)
 
     def oracle(bits):
         # wrong on a sparse set of patterns from wrong_from on
@@ -1082,15 +1102,10 @@ def test_forked_check_matches_a_scalar_loop(wide17, forks, monkeypatch, wrong_fr
         if domain(bits) and outputs[position] != oracle(bits):
             scalar.append(Counterexample(bits, oracle(bits), outputs[position]))
     assert len(scalar) > 5 and bits_to_int(scalar[-1].inputs) > 120_000
-    assert (bits_to_int(scalar[0].inputs) < simulate._PREFIX) == (wrong_from == 0)
 
     for cap in (1, 5, len(scalar), 10_000):
-        forks.clear()
         assert check_equivalence(n, oracle, domain, max_counterexamples=cap) == scalar[:cap], cap
         assert_no_children()
-        # the prefix holds the first mismatches when they start at 0, so no copy is forked for the caps it meets
-        met_in_prefix = bits_to_int(scalar[min(cap, len(scalar)) - 1].inputs) < simulate._PREFIX
-        assert len(forks) == (0 if met_in_prefix or sys.platform != "linux" else workers - 1), cap
 
 
 def constant_flips(n, picks):
@@ -1100,7 +1115,7 @@ def constant_flips(n, picks):
         yield Netlist(n.name, n.primary_inputs, n.constants[:k] + ((wire, 1 - value),) + n.constants[k + 1 :], n.gates, n.primary_outputs)
 
 
-def test_forked_check_of_constant_flip_mutants_matches_the_sequential_engine(monkeypatch):
+def test_forked_check_of_constant_flip_mutants_matches_the_sequential_engine():
     n = build_bcd_chain(2)
     oracle = adder_oracle(2)[0]
 
@@ -1118,10 +1133,11 @@ def test_forked_check_of_constant_flip_mutants_matches_the_sequential_engine(mon
     picks = [k for k, (wire, _value) in enumerate(n.constants) if wire in wrong]
     for k, mutant in zip(picks, constant_flips(n, picks)):
         wire = n.constants[k][0]
-        for cap in (1, 16, 10**6) if wire == "d1_zero9" else (1, 16):  # a full sweep of both engines
-            expected = sequential_check(monkeypatch, mutant, oracle, domain, max_counterexamples=cap)
+        for cap in (1, 16, 10**6) if wire == "d1_zero9" else (1, 16):  # a full sweep of both references
+            expected = check_equivalence(mutant, oracle, domain, max_counterexamples=cap)
             assert len(expected) == min(cap, wrong[wire]), (wire, cap)
-            assert check_equivalence(mutant, oracle, domain, max_counterexamples=cap) == expected, (wire, cap)
+            # the column spec gives the oracle's counterexamples, in the same order
+            assert check_equivalence(mutant, spec=adder_spec(2), max_counterexamples=cap) == expected, (wire, cap)
             assert_no_children()
 
 
@@ -1129,28 +1145,29 @@ def test_forked_check_of_constant_flip_mutants_matches_the_sequential_engine(mon
 def test_forked_check_raises_what_the_sequential_engine_raises(wide17, monkeypatch, cpus):
     n, outputs = wide17
     usable_cpus(monkeypatch, cpus)
+    calls = []
 
     def oracle(bits):
         position = bits_to_int(bits)
-        if position >= 100_000:  # past the calling process's range: only a forked copy reaches it, after others report
+        calls.append(position)
+        if position >= 100_000:
             raise ArithmeticError(f"no answer at {position}")
         return outputs[position]
 
-    with pytest.raises(ArithmeticError) as expected:
-        sequential_check(monkeypatch, n, oracle)
     with pytest.raises(ArithmeticError) as raised:
         check_equivalence(n, oracle)
-    assert str(raised.value) == str(expected.value) == "no answer at 100000"
+    assert str(raised.value) == "no answer at 100000"
+    # one in-order pass: the oracle saw each pattern once, up to the one that raised
+    assert calls == [*range(100_001)]
     assert_no_children()
 
 
-def test_a_cap_met_in_the_calling_process_kills_the_copies(wide17, monkeypatch):
+def test_a_cap_met_in_the_calling_process_kills_the_copies(wide17):
     n, outputs = wide17
-    usable_cpus(monkeypatch, 2)  # the calling process checks patterns 4096 to 69 631, its copy the rest
 
     def oracle(bits):
         position = bits_to_int(bits)
-        if position == 69_632:  # the copy's first pattern: a copy left to finish would hold the call
+        if position == 69_632:  # far past the cap: a check that went on would hold the call
             time.sleep(30)
         expected = outputs[position]
         return (1 - expected[0],) + expected[1:] if 5000 <= position < 5003 else expected
@@ -1162,15 +1179,15 @@ def test_a_cap_met_in_the_calling_process_kills_the_copies(wide17, monkeypatch):
     assert_no_children()
 
 
-def test_check_forks_nothing_with_a_second_thread_or_a_failing_fork(wide17, forks, monkeypatch):
+def test_check_forks_nothing_with_a_second_thread_or_a_failing_fork(wide17, monkeypatch):
     n, outputs = wide17
 
     def oracle(bits):
         position = bits_to_int(bits)
         return outputs[position] if position % 1009 else (1,) * len(outputs[0])
 
-    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=40)
-    assert len(expected) == 40 and bits_to_int(expected[-1].inputs) > simulate._PREFIX
+    expected = check_equivalence(n, oracle, max_counterexamples=40)
+    assert len(expected) == 40
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
@@ -1180,180 +1197,130 @@ def test_check_forks_nothing_with_a_second_thread_or_a_failing_fork(wide17, fork
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
-    # 15 inputs leave fewer than 2^15 patterns past the prefix
     assert check_equivalence(wide_netlist(15), lambda bits: (), lambda bits: False) == []
-    assert forks == []
 
     def refused():
         raise BlockingIOError("resource temporarily unavailable")
 
-    recording = os.fork
+    # a check that needs no fork and no pipe gives the same result when both are refused
     monkeypatch.setattr(os, "fork", refused)
-    assert check_equivalence(n, oracle, max_counterexamples=40) == expected
-    # with the second copy refused, the first is killed and reaped, and this process checks every pattern
-    monkeypatch.setattr(os, "fork", lambda: refused() if forks else recording())
-    usable_cpus(monkeypatch, 5)
-    assert check_equivalence(n, oracle, max_counterexamples=40) == expected
-    assert len(forks) == (1 if sys.platform == "linux" else 0)
-    assert_no_children()
     monkeypatch.setattr(os, "pipe", refused)
     assert check_equivalence(n, oracle, max_counterexamples=40) == expected
+    assert_no_children()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
-def test_a_copy_that_dies_leaves_only_its_own_range_to_the_calling_process(wide17, forks, monkeypatch):
+def test_a_copy_that_dies_leaves_only_its_own_range_to_the_calling_process(wide17):
     n, outputs = wide17
-    usable_cpus(monkeypatch, 5)  # ranges from 4096, 32 768, 61 440, 90 112 and 118 784: the caller checks the first
-    caller, calls = os.getpid(), []
+    calls = []
 
     def oracle(bits):
         position = bits_to_int(bits)
-        if os.getpid() == caller:
-            calls.append(position)
-        elif position == 70_000:  # in the second copy's range: that copy ends with no report
-            os._exit(3)
+        calls.append(position)
         expected = outputs[position]
         return (1 - expected[0],) + expected[1:] if position % 997 == 5 else expected
 
-    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=10_000)
-    wrong = [bits_to_int(ce.inputs) for ce in expected]
-    assert len(wrong) == 132 and wrong[0] < simulate._PREFIX and wrong[-1] > 118_784
-    calls.clear()
-    assert check_equivalence(n, oracle, max_counterexamples=10_000) == expected
-    assert len(forks) == 4
+    found = check_equivalence(n, oracle, max_counterexamples=10_000)
+    assert [bits_to_int(ce.inputs) for ce in found] == [*range(5, 1 << 17, 997)]
+    assert len(found) == 132
     assert_no_children()
-    # this process called the oracle on the prefix, its own range and the dead copy's range, each pattern once,
-    # in that order; the other copies reported their counterexamples whole
-    dead = range(61_440, 90_112)
-    assert calls == [*range(32_768), *dead]
+    # the oracle was called on every pattern once, in ascending order
+    assert calls == [*range(1 << 17)]
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
-def test_a_report_larger_than_a_pipe_buffer_is_read_whole(forks, monkeypatch):
+def test_a_report_larger_than_a_pipe_buffer_is_read_whole():
     n = wide_netlist(16)
     outputs = [row.outputs for row in truth_table(n)]
-    usable_cpus(monkeypatch, 2)  # the caller checks patterns 4096 to 36 863, its copy 36 864 to 65 535
-    caller, calls = os.getpid(), []
+    calls = []
 
     def oracle(bits):
         position = bits_to_int(bits)
-        if os.getpid() == caller:
-            calls.append(position)
+        calls.append(position)
         expected = outputs[position]
         return (1 - expected[0],) + expected[1:] if position >= 40_960 and position % 2 else expected
 
-    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=20_000)
-    # 12 288 pickled counterexamples of 16 inputs and 10 outputs: about 1.1 MB, far more than a 64 KiB pipe buffer holds
-    assert len(expected) == 12_288
-    calls.clear()
-    assert check_equivalence(n, oracle, max_counterexamples=20_000) == expected
-    assert len(forks) == 1
+    # 12 288 counterexamples of 16 inputs and 10 outputs, far more than a 64 KiB pipe buffer would hold pickled
+    found = check_equivalence(n, oracle, max_counterexamples=20_000)
     assert_no_children()
-    # the whole report was read: this process checked no pattern of the copy's range
-    assert calls == [*range(36_864)]
+    assert calls == [*range(1 << 16)]  # every pattern was checked once, in order
+    assert [bits_to_int(ce.inputs) for ce in found] == [*range(40_961, 1 << 16, 2)]
+    assert all(ce.expected != ce.actual == outputs[bits_to_int(ce.inputs)] for ce in found)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
 @pytest.mark.parametrize("cpus", [2, 5])
-def test_each_pattern_is_checked_in_one_process(wide17, forks, monkeypatch, tmp_path, cpus):
+def test_each_pattern_is_checked_in_one_process(wide17, monkeypatch, cpus):
     n, outputs = wide17
     usable_cpus(monkeypatch, cpus)
-    log = []  # once opened, the fd on which every process appends its pid and each pattern it checks
+    checked = []  # (pid, pattern) for each oracle call
 
     def oracle(bits):
         position = bits_to_int(bits)
-        if log:
-            os.write(log[0], f"{os.getpid()} {position}\n".encode())
+        checked.append((os.getpid(), position))
         expected = outputs[position]
         return (1 - expected[0],) + expected[1:] if position % 997 == 5 else expected
 
-    expected = sequential_check(monkeypatch, n, oracle, max_counterexamples=10_000)
-    assert len(expected) == 132  # a cap that no range meets
-    calls = tmp_path / "calls"
-    log.append(os.open(calls, os.O_WRONLY | os.O_CREAT | os.O_APPEND))  # inherited by each copy
-    try:
-        assert check_equivalence(n, oracle, max_counterexamples=10_000) == expected
-    finally:
-        os.close(log.pop())
-    assert len(forks) == cpus - 1
+    assert len(check_equivalence(n, oracle, max_counterexamples=10_000)) == 132  # a cap that is never met
     assert_no_children()
-    checked = [line.split() for line in calls.read_text().splitlines()]
-    # every pattern was checked once, in one process: a reported counterexample is not checked again
-    assert sorted(int(position) for _pid, position in checked) == [*range(1 << 17)]
-    assert {int(pid) for pid, _position in checked} == {os.getpid(), *forks}
+    # every pattern was checked once, in order, in this process: a counterexample is not checked again
+    assert checked == [(os.getpid(), position) for position in range(1 << 17)]
 
 
 class Bit(int):
     """An int of a type of its own."""
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
 @pytest.mark.parametrize("output", [Bit, lambda bit: bytearray([bit])], ids=["int-subclass", "bytearray"])
-def test_a_copy_reports_outputs_of_any_type_as_they_are(forks, monkeypatch, output):
+def test_a_copy_reports_outputs_of_any_type_as_they_are(output):
     n = build_bcd_chain(2)
     spec, domain = adder_oracle(2)
-    usable_cpus(monkeypatch, 2)  # the calling process checks patterns 4096 to 69 631, its copy the rest
-    caller, calls = os.getpid(), []
 
     def oracle(bits):
-        position = bits_to_int(bits)
-        if os.getpid() == caller:
-            calls.append(position)
         expected = spec(bits)
-        # neither an int nor a bool: the copy's report must carry it as it is
-        return (output(1 - expected[0]), *expected[1:]) if position >= 70_000 else expected
+        # neither an int nor a bool: the counterexample must carry it as it is
+        return (output(1 - expected[0]), *expected[1:]) if bits_to_int(bits) >= 70_000 else expected
 
-    expected = sequential_check(monkeypatch, n, oracle, domain)
-    assert bits_to_int(expected[0].inputs) == 70_144 and len(expected) == 16
-    calls.clear()
     found = check_equivalence(n, oracle, domain)
-    assert found == expected
-    assert len(forks) == 1
-    assert_no_children()
+    assert bits_to_int(found[0].inputs) == 70_144 and len(found) == 16
+    assert all(ce.expected == oracle(ce.inputs) for ce in found)
     assert all(type(ce.expected[0]) is type(output(0)) for ce in found)
-    # the copy reported its range: this process checked none of it
-    assert max(calls) < 69_632
+    assert_no_children()
 
 
-# a check of bcd-chain 2 at two usable CPUs under the SIGCHLD disposition that argv[1] names; prints
-# the result and the number of copies made
+# a check of bcd-chain 2, against the oracle and the spec, under the SIGCHLD disposition that argv[1]
+# names; prints both results and the number of processes forked
 SIGCHLD_CHECK = """
 import os, signal, sys
-from revlogic import adder_oracle, build_bcd_chain, check_equivalence
+from helpers import adder_oracle
+from revlogic import adder_spec, build_bcd_chain, check_equivalence
 if sys.argv[1] == "ignored":
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 elif sys.argv[1] == "reaping-handler":
     signal.signal(signal.SIGCHLD, lambda signum, frame: os.waitpid(-1, os.WNOHANG))
-os.sched_getaffinity = lambda pid: {0, 1}
 forks, fork = [], os.fork
 def counted():
     forks.append(None)
     return fork()
 os.fork = counted
-print(check_equivalence(build_bcd_chain(2), *adder_oracle(2)), len(forks))
+n = build_bcd_chain(2)
+print(check_equivalence(n, *adder_oracle(2)), check_equivalence(n, spec=adder_spec(2)), len(forks))
 """
 
 
-@pytest.mark.parametrize(
-    "disposition, copies", [("default", 1 if sys.platform == "linux" else 0), ("ignored", 0), ("reaping-handler", 0)]
-)
-def test_a_check_forks_only_while_sigchld_is_at_its_default(disposition, copies):
-    # an ignored or handled SIGCHLD lets the system reap a copy before the check kills and reaps it;
+@pytest.mark.parametrize("disposition", ["default", "ignored", "reaping-handler"])
+def test_a_check_makes_no_child_whatever_the_sigchld_disposition(disposition):
     # in a child process, so that this one's disposition is untouched
     src = str(Path(simulate.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    paths = [src, str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     argv = [sys.executable, "-c", SIGCHLD_CHECK, disposition]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"[] {copies}\n"
+    assert proc.stdout == "[] [] 0\n"
 
 
-@pytest.mark.skipif(not FORKING, reason="forks only on Linux with more than one usable CPU")
-def test_passing_check_of_bcd_chain_2_forks_a_copy_per_extra_cpu(forks):
+def test_passing_check_of_bcd_chain_2_makes_no_child():
     n = build_bcd_chain(2)
     assert check_equivalence(n, *adder_oracle(2)) == []
-    # a range is at least one of the 31 blocks of 4096 patterns past the prefix
-    assert len(forks) == min(WORKERS, 31) - 1
+    assert check_equivalence(n, spec=adder_spec(2)) == []
     assert_no_children()
 
 
